@@ -25,11 +25,19 @@ int Histogram::BucketFor(uint64_t v) {
   return b >= kNumBuckets ? kNumBuckets - 1 : b;
 }
 
+void Histogram::AddSaturating(int64_t v) {
+  // Both operands are >= 0, so only the upper end can overflow, and signed
+  // overflow is undefined: pin the sum at INT64_MAX instead.
+  if (__builtin_add_overflow(sum_, v, &sum_)) {
+    sum_ = std::numeric_limits<int64_t>::max();
+  }
+}
+
 void Histogram::Add(int64_t value) {
   if (value < 0) value = 0;
   ++buckets_[BucketFor(static_cast<uint64_t>(value))];
   ++count_;
-  sum_ += value;
+  AddSaturating(value);
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }
@@ -37,7 +45,7 @@ void Histogram::Add(int64_t value) {
 void Histogram::Merge(const Histogram& other) {
   for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
   count_ += other.count_;
-  sum_ += other.sum_;
+  AddSaturating(other.sum_);
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }

@@ -51,6 +51,7 @@ class Histogram {
  private:
   static constexpr int kNumBuckets = 64;
   static int BucketFor(uint64_t v);
+  void AddSaturating(int64_t v);  ///< sum_ += v, pinned at INT64_MAX
 
   uint64_t buckets_[kNumBuckets];
   uint64_t count_;

@@ -314,7 +314,7 @@ void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
   pin.stream_slot = slot;
   pin.seq_ns = params_.dram_seq_access_ns;
   pin.ns_per_byte = params_.dram_seq_ns_per_byte;
-  pin.map_epoch = mapping_epoch_.load(std::memory_order_relaxed);
+  pin.map_epoch = mapping_epoch_;
   pin.page_epoch = s.tlb_epoch;
   pin.page_epoch_ptr = &s.tlb_epoch;
 }

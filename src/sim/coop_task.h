@@ -1,10 +1,10 @@
 #ifndef TELEPORT_SIM_COOP_TASK_H_
 #define TELEPORT_SIM_COOP_TASK_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -15,13 +15,12 @@ namespace teleport::sim {
 
 /// Adapts straight-line simulated code (an engine query, a pushdown, an
 /// interfering mutator) into a steppable Task without rewriting it as a
-/// state machine. The body runs on a dedicated host thread that is parked
-/// except while the scheduler is inside Step(): every charged access / CPU
-/// batch on the hooked ExecutionContexts counts toward a quantum, and when
-/// the quantum fills the body parks and Step() returns. Exactly one thread
-/// is ever runnable (strict mutex/condvar handoff), so execution remains
-/// fully deterministic — the host thread is a coroutine substitute, not a
-/// source of parallelism.
+/// state machine. The body runs as a stackful fiber on the thread that calls
+/// Step(): every charged access / CPU batch on the hooked ExecutionContexts
+/// counts toward a quantum, and when the quantum fills the body switches
+/// back to the scheduler and Step() returns. Only one fiber runs at a time,
+/// on the scheduler's own thread, so execution is fully deterministic and
+/// thread-local state (log sinks, bench record buffers) is the caller's.
 ///
 /// The hooked contexts must be used by no other CoopTask; the body must
 /// confine its simulated work to them (work on un-hooked contexts simply
@@ -30,87 +29,54 @@ class CoopTask : public Task {
  public:
   /// `ctxs`: the contexts whose accesses drive preemption; ctxs[0] is the
   /// primary (its virtual clock dominates ours between handoffs). `body`
-  /// runs once on the worker thread. `quantum` = charged operations per
-  /// Step() (1 gives the finest interleaving). `partition` opts the task
-  /// into conservative parallel stepping (Interleaver::set_host_threads);
-  /// a non-exclusive partition is a promise that the body touches pages of
-  /// exactly that memory shard from exactly that compute node, runs no
-  /// pushdown sessions, and takes no cross-task host locks (e.g. the OLTP
-  /// commit latch) — violations are data races, which the TSAN CI job and
-  /// the two-scale bit-identity tests exist to catch.
+  /// runs once on the fiber. `quantum` = charged operations per Step() (1
+  /// gives the finest interleaving).
   CoopTask(std::vector<ddc::ExecutionContext*> ctxs,
-           std::function<void()> body, int quantum = 1,
-           TaskPartition partition = {});
+           std::function<void()> body, int quantum = 1);
 
-  /// Joins the worker. If the task was abandoned mid-run (explorer bounds,
-  /// failed test), the body is unwound with a private exception from its
-  /// next yield point — bodies must not catch(...) across yield points.
+  /// Frees the fiber stack. If the task was abandoned mid-run (explorer
+  /// bounds, failed test), the body is first unwound on its own stack with
+  /// a private exception from its parked yield point — bodies must not
+  /// catch(...) across yield points.
   ~CoopTask() override;
 
   CoopTask(const CoopTask&) = delete;
   CoopTask& operator=(const CoopTask&) = delete;
 
   Nanos clock() const override;
-  bool done() const override;
+  bool done() const override { return done_; }
   void Step() override;
 
-  TaskPartition partition() const override { return partition_; }
-
-  /// Split-phase Step: BeginStep wakes the worker and returns immediately;
-  /// FinishStep blocks until the quantum committed. Between the two, the
-  /// worker runs concurrently with other batch members' workers on real
-  /// host threads — the only place true parallelism enters the simulator.
-  void BeginStep() override;
-  void FinishStep() override;
-
-  /// Runs consecutive quanta without parking while the task clock stays
-  /// below `bound` (or equal when `inclusive`), paying one condvar round
-  /// trip for the whole run instead of one per quantum. Quantum boundaries
-  /// and charges are identical to repeated Step() — only host-side parking
-  /// is elided.
-  uint64_t StepBatch(Nanos bound, bool inclusive) override;
-
  private:
-  enum class Turn { kScheduler, kWorker };
   struct Abort {};  // thrown into an abandoned body to unwind it
 
   static void YieldHook(void* self);
-  void WorkerMain();
-  /// Parks the worker until the scheduler hands the turn back.
-  void ParkWorker(std::unique_lock<std::mutex>& lk);
-  /// Max virtual clock across the hooked contexts. Called from the worker
-  /// while it holds the turn (contexts quiescent to everyone else).
-  Nanos WorkerClock() const;
+  /// makecontext entry point; the task pointer arrives split in two ints.
+  static void FiberEntry(unsigned hi, unsigned lo);
+  /// Scheduler side: runs the fiber until it yields or finishes.
+  void Resume();
+  /// Fiber side: parks the body and returns to the scheduler; throws Abort
+  /// when resumed by the destructor.
+  void Suspend();
 
   std::vector<ddc::ExecutionContext*> ctxs_;
   std::function<void()> body_;
   const int quantum_;
-  const TaskPartition partition_;
-  int used_ = 0;  // charged ops in the current quantum (worker-only)
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kScheduler;
+  int used_ = 0;  // charged ops in the current quantum
+  bool started_ = false;
   bool done_ = false;
   bool aborting_ = false;
-  // Batch-handoff window (see StepBatch). Written by the scheduler under
-  // mu_ before the turn handoff, read by the worker after it — the condvar
-  // handoff orders them. batch_continues_ flows back the same way.
-  bool batch_active_ = false;
-  Nanos batch_bound_ = 0;
-  bool batch_inclusive_ = false;
-  uint64_t batch_continues_ = 0;
-  std::thread worker_;
-};
 
-/// True when `ms` is configured so disjoint-(node, shard) CoopTasks may
-/// legally step in parallel: the ideal fabric backend (contended backends
-/// serialize through shared queue state), no fault injector (its RNG
-/// sequence depends on global delivery order), no coherence observer and no
-/// tracer (both append to shared logs whose order is the output). Callers
-/// fall back to host_threads = 1 when this is false — results are identical
-/// either way, only wall clock differs.
-bool ParallelEligible(ddc::MemorySystem& ms);
+  void* mapping_ = nullptr;     // guard page + stack, from mmap
+  void* stack_lo_ = nullptr;    // lowest usable stack byte
+  ucontext_t fiber_{};          // the body, while parked
+  ucontext_t scheduler_{};      // the Step() caller, while the body runs
+  // Sanitizer fiber bookkeeping (unused in plain builds).
+  const void* scheduler_stack_lo_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  void* tsan_fiber_ = nullptr;
+  void* tsan_scheduler_ = nullptr;
+};
 
 }  // namespace teleport::sim
 

@@ -1,6 +1,5 @@
 #include "sim/interleaver.h"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -76,19 +75,7 @@ std::vector<uint32_t> TraceFromString(const std::string& s) {
 
 Nanos Interleaver::Run() { return RunUntil(kForever); }
 
-void Interleaver::FlushParCounters(Metrics& m) {
-  m.par_batches += par_.batches;
-  m.par_parallel_steps += par_.parallel_steps;
-  m.par_lookahead_stalls += par_.lookahead_stalls;
-  m.par_handoff_waits += par_.handoff_waits;
-  m.par_batched_quanta += par_.batched_quanta;
-  par_ = ParCounters{};
-}
-
 Nanos Interleaver::RunUntil(Nanos deadline) {
-  if (host_threads_ > 1 && schedule_ == nullptr && !record_trace_) {
-    return RunUntilParallel(deadline);
-  }
   SmallestClockSchedule default_schedule;
   Schedule* schedule = schedule_ != nullptr ? schedule_ : &default_schedule;
   std::vector<size_t> runnable;
@@ -102,121 +89,11 @@ Nanos Interleaver::RunUntil(Nanos deadline) {
       runnable.push_back(i);
     }
     if (runnable.empty()) break;
-    if (schedule_ == nullptr) {
-      // Default smallest-clock policy with batched handoffs: the pick may
-      // run quanta back to back while it would remain the pick anyway —
-      // its clock below the runner-up's (or equal, when the pick's lower
-      // registration index wins the tie) and below the deadline. Quantum
-      // boundaries, charges, and (recorded) trace entries are identical to
-      // the unbatched loop; only park/unpark round trips are saved.
-      size_t pick = runnable.front();
-      for (const size_t i : runnable) {
-        if (tasks_[i]->clock() < tasks_[pick]->clock()) pick = i;
-      }
-      size_t runner_up = tasks_.size();
-      for (const size_t i : runnable) {
-        if (i == pick) continue;
-        if (runner_up == tasks_.size() ||
-            tasks_[i]->clock() < tasks_[runner_up]->clock()) {
-          runner_up = i;
-        }
-      }
-      Nanos bound = deadline;
-      bool inclusive = false;
-      if (runner_up != tasks_.size() &&
-          tasks_[runner_up]->clock() < deadline) {
-        bound = tasks_[runner_up]->clock();
-        inclusive = pick < runner_up;
-      }
-      TELEPORT_DCHECK(!tasks_[pick]->done());
-      const uint64_t quanta = tasks_[pick]->StepBatch(bound, inclusive);
-      par_.handoff_waits += 1;
-      par_.batched_quanta += quanta - 1;
-      if (record_trace_) {
-        trace_.insert(trace_.end(), quanta, static_cast<uint32_t>(pick));
-      }
-      if (tasks_[pick]->clock() > max_clock) {
-        max_clock = tasks_[pick]->clock();
-      }
-      continue;
-    }
     const size_t pick = schedule->Pick(runnable, tasks_);
     TELEPORT_DCHECK(!tasks_[pick]->done());
     if (record_trace_) trace_.push_back(static_cast<uint32_t>(pick));
     tasks_[pick]->Step();
-    par_.handoff_waits += 1;
     if (tasks_[pick]->clock() > max_clock) max_clock = tasks_[pick]->clock();
-  }
-  for (Task* t : tasks_) {
-    if (t->clock() > max_clock) max_clock = t->clock();
-  }
-  return max_clock;
-}
-
-Nanos Interleaver::RunUntilParallel(Nanos deadline) {
-  // Conservative (CMB-style, null-message-free) commit loop. Each round:
-  //   1. order the runnable tasks by (clock, registration index) — the
-  //      exact serial smallest-clock order;
-  //   2. admit tasks in that order while their clock is inside the
-  //      lookahead window AND they conflict with no already-admitted and
-  //      no already-excluded task (the excluded check preserves the serial
-  //      relative order of every conflicting pair: a task never overtakes
-  //      an earlier-ordered task it shares a node or shard with);
-  //   3. step the whole batch concurrently (split-phase), then barrier.
-  // Steps inside a batch touch pairwise-disjoint simulator state, so they
-  // commute; across batches, each shared resource sees its operations in
-  // serial order — which is why the result is bit-identical to serial.
-  std::vector<size_t> order, batch, excluded;
-  Nanos max_clock = 0;
-  while (true) {
-    order.clear();
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-      Task* t = tasks_[i];
-      if (t->done()) continue;
-      if (t->clock() >= deadline) continue;
-      order.push_back(i);
-    }
-    if (order.empty()) break;
-    std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-      return tasks_[a]->clock() < tasks_[b]->clock();
-    });
-    const Nanos min_clock = tasks_[order.front()]->clock();
-    const bool windowed = lookahead_ != kUnboundedLookahead;
-    batch.clear();
-    excluded.clear();
-    for (size_t k = 0; k < order.size(); ++k) {
-      const size_t i = order[k];
-      if (!batch.empty()) {
-        if (windowed && tasks_[i]->clock() - min_clock >= lookahead_) {
-          // Sorted order: everything from here on is outside the window.
-          par_.lookahead_stalls += order.size() - k;
-          break;
-        }
-        if (batch.size() >= static_cast<size_t>(host_threads_)) break;
-      }
-      const TaskPartition p = tasks_[i]->partition();
-      bool conflict = false;
-      for (const size_t j : batch) {
-        if (p.ConflictsWith(tasks_[j]->partition())) conflict = true;
-      }
-      for (const size_t j : excluded) {
-        if (p.ConflictsWith(tasks_[j]->partition())) conflict = true;
-      }
-      (conflict ? excluded : batch).push_back(i);
-    }
-    TELEPORT_DCHECK(!batch.empty());
-    if (batch.size() == 1) {
-      tasks_[batch.front()]->Step();
-    } else {
-      for (const size_t i : batch) tasks_[i]->BeginStep();
-      for (const size_t i : batch) tasks_[i]->FinishStep();
-      par_.parallel_steps += batch.size();
-    }
-    par_.batches += 1;
-    par_.handoff_waits += batch.size();
-    for (const size_t i : batch) {
-      if (tasks_[i]->clock() > max_clock) max_clock = tasks_[i]->clock();
-    }
   }
   for (Task* t : tasks_) {
     if (t->clock() > max_clock) max_clock = t->clock();

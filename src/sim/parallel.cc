@@ -14,12 +14,9 @@ int HostThreadsFromEnv() {
   if (env == nullptr || *env == '\0') return 1;
   char* end = nullptr;
   const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    TELEPORT_LOG(kWarning) << "ignoring malformed TELEPORT_HOST_THREADS=\""
-                           << env << "\"";
-    return 1;
-  }
-  if (v < 1) return 1;
+  TELEPORT_CHECK(end != env && *end == '\0' && v >= 1)
+      << "invalid TELEPORT_HOST_THREADS=\"" << env
+      << "\" (expected an integer >= 1)";
   if (v > kMaxHostThreads) return kMaxHostThreads;
   return static_cast<int>(v);
 }

@@ -7,9 +7,10 @@
 
 namespace teleport::sim {
 
-/// Reads TELEPORT_HOST_THREADS. Unset, empty, non-numeric, or < 1 all mean
-/// 1 (the serial path); values are clamped to kMaxHostThreads so a typo
-/// cannot fork thousands of threads.
+/// Reads TELEPORT_HOST_THREADS. Unset or empty means 1 (the serial path); a
+/// non-numeric value or one below 1 aborts, naming the variable and the
+/// value. Values are clamped to kMaxHostThreads so a typo cannot fork
+/// thousands of threads.
 int HostThreadsFromEnv();
 
 inline constexpr int kMaxHostThreads = 256;
@@ -17,9 +18,9 @@ inline constexpr int kMaxHostThreads = 256;
 /// Tier A of the host-parallel engine: runs independent jobs — whole figure
 /// legs, each owning a private MemorySystem/Fabric/Metrics/Tracer arena — on
 /// a pool of host threads. The runner provides scheduling only; isolation is
-/// the caller's contract (a job must not touch another job's arena; shared
-/// simulator totals such as log level or fabric byte counters are relaxed
-/// atomics, so cross-leg interleaving cannot change any per-leg result).
+/// the caller's contract (a job must not touch another job's arena; the
+/// only process-wide simulator state, the log level, is a relaxed atomic,
+/// so cross-leg interleaving cannot change any per-leg result).
 /// Output determinism is restored by the caller collecting per-job results
 /// into index-addressed slots and merging them in job order after Run
 /// returns — see bench::RunLegs, which buffers each leg's BenchRecord JSONL

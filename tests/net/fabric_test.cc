@@ -1,6 +1,7 @@
 #include "net/fabric.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -469,6 +470,25 @@ TEST(FabricBackendTest, InterleavedLaggingSendsStayFifoUnderBothBackends) {
       }
     }
   }
+}
+
+TEST(FabricBackendTest, UnknownEnvBackendAbortsNamingTheValue) {
+  // A typo must not silently run the ideal fabric. The death-test child
+  // owns the setenv; this process's environment is untouched.
+  EXPECT_DEATH(
+      {
+        ::setenv("TELEPORT_FABRIC_BACKEND", "queued-rdma", 1);
+        BackendFromEnv();
+      },
+      "TELEPORT_FABRIC_BACKEND=\"queued-rdma\"");
+  EXPECT_EXIT(
+      {
+        ::setenv("TELEPORT_FABRIC_BACKEND", "ideal", 1);
+        const bool ok = BackendFromEnv() == Backend::kIdeal;
+        ::setenv("TELEPORT_FABRIC_BACKEND", "smartnic", 1);
+        std::exit(ok && BackendFromEnv() == Backend::kSmartNic ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -346,17 +346,67 @@ TEST(CoopTaskTest, AbandonedTaskUnwindsCleanly) {
   auto ctx = ms.CreateContext(ddc::Pool::kCompute);
   ms.space().Alloc(8 * 4096, "data");
   ms.SeedData();
+  struct Sentinel {
+    bool* destroyed;
+    ~Sentinel() { *destroyed = true; }
+  };
   bool finished = false;
+  bool destroyed = false;
   {
     CoopTask task({ctx.get()}, [&] {
+      Sentinel local{&destroyed};
       for (VAddr a = 0; a < 8 * 4096; a += 8) ctx->Store<uint64_t>(a, a);
       finished = true;
     });
     Interleaver il;
     il.Add(&task);
     il.RunUntil(1);  // a slice, then abandon the task mid-body
+    EXPECT_FALSE(destroyed);
   }  // destructor unwinds the parked body
   EXPECT_FALSE(finished);
+  EXPECT_TRUE(destroyed) << "the body's locals must unwind with it";
+
+  // The hooks went with the body: the same context now runs plain accesses
+  // on this stack without ever switching.
+  EXPECT_EQ(ctx->yield_fn(), nullptr);
+  for (VAddr a = 0; a < 8 * 4096; a += 8) ctx->Store<uint64_t>(a, a + 1);
+  uint64_t sum = 0;
+  for (VAddr a = 0; a < 8 * 4096; a += 8) sum += ctx->Load<uint64_t>(a);
+  uint64_t expect = 0;
+  for (VAddr a = 0; a < 8 * 4096; a += 8) expect += a + 1;
+  EXPECT_EQ(sum, expect);
+}
+
+/// One charged load per frame, ~300 bytes of frame each; `pad` is read after
+/// the recursive call so the chain cannot become a loop.
+uint64_t DeepSum(ddc::ExecutionContext& ctx, int depth) {
+  volatile char pad[256];
+  pad[0] = static_cast<char>(depth & 0x7f);
+  if (depth == 0) return 0;
+  const uint64_t v = ctx.Load<uint64_t>(static_cast<VAddr>(depth % 1024) * 8);
+  const uint64_t rest = DeepSum(ctx, depth - 1);
+  return v + rest + static_cast<uint64_t>(pad[0]);
+}
+
+TEST(CoopTaskTest, DeepRecursionParksAndResumesOnTheFiberStack) {
+  // ~4096 frames of >= 256 bytes: about 1 MiB of fiber stack, parked and
+  // resumed at every frame (quantum 1) while the whole chain is live.
+  constexpr int kDepth = 4096;
+  ddc::MemorySystem ms(TestConfig(), TestParams(), 64 * 4096);
+  auto ctx = ms.CreateContext(ddc::Pool::kCompute);
+  ms.space().Alloc(8 * 4096, "data");
+  ms.SeedData();
+  for (VAddr a = 0; a < 8 * 4096; a += 8) ctx->Store<uint64_t>(a, a);
+  const uint64_t expect = DeepSum(*ctx, kDepth);
+  uint64_t got = 0;
+  CoopTask task({ctx.get()}, [&] { got = DeepSum(*ctx, kDepth); });
+  Interleaver il;
+  il.Add(&task);
+  il.set_record_trace(true);
+  il.Run();
+  EXPECT_TRUE(task.done());
+  EXPECT_EQ(got, expect);
+  EXPECT_GE(il.trace().size(), static_cast<size_t>(kDepth));
 }
 
 }  // namespace
