@@ -108,6 +108,26 @@ void BM_SpanLoads(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanLoads);
 
+// The same span walk, fast path disabled: every element takes the walker's
+// per-element branch. CI gates BM_SpanLoads against it, so a walker that
+// fell back to per-element dispatch would fail the smoke check.
+void BM_SpanLoadsScalar(benchmark::State& state) {
+  ddc::MemorySystem ms(DdcCfg(4096), sim::CostParams::Default(), 256 << 20);
+  ms.set_scalar_datapath(true);
+  const ddc::VAddr a = ms.space().Alloc(64 << 20, "d");
+  ms.SeedData();
+  auto ctx = ms.CreateContext(ddc::Pool::kCompute);
+  int64_t buf[512];
+  uint64_t off = 0;
+  for (auto _ : state) {
+    ctx->LoadSpan<int64_t>(a + off, buf, 512);
+    benchmark::DoNotOptimize(buf[0]);
+    off = (off + sizeof(buf)) % (64 << 20);
+  }
+  state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_SpanLoadsScalar);
+
 void BM_SpanFill(benchmark::State& state) {
   ddc::MemorySystem ms(DdcCfg(4096), sim::CostParams::Default(), 256 << 20);
   const ddc::VAddr a = ms.space().Alloc(64 << 20, "d");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "net/faults.h"
@@ -69,7 +70,7 @@ std::string_view CoherenceEventKindToString(CoherenceEvent::Kind k) {
 
 // --- LruList ---------------------------------------------------------------
 
-void MemorySystem::LruList::EnsureSize(size_t n) {
+void LruList::EnsureSize(size_t n) {
   if (prev_.size() < n) {
     prev_.resize(n, kNil);
     next_.resize(n, kNil);
@@ -77,7 +78,7 @@ void MemorySystem::LruList::EnsureSize(size_t n) {
   }
 }
 
-void MemorySystem::LruList::Clear() {
+void LruList::Clear() {
   std::fill(prev_.begin(), prev_.end(), kNil);
   std::fill(next_.begin(), next_.end(), kNil);
   std::fill(in_list_.begin(), in_list_.end(), uint8_t{0});
@@ -97,6 +98,17 @@ uint64_t PagesPerShard(uint64_t capacity_bytes, uint64_t page_size,
       std::max<uint64_t>(1, (capacity_bytes + page_size - 1) / page_size);
   const uint64_t m = static_cast<uint64_t>(std::max(1, shards));
   return std::max<uint64_t>(1, (cap_pages + m - 1) / m);
+}
+
+// A boolean environment knob: unset, "" and "0" are off, "1" is on, and any
+// other value aborts naming the variable, so a typo is never silently read
+// as a setting.
+bool BoolFromEnv(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0) return false;
+  TELEPORT_CHECK(std::strcmp(v, "1") == 0)
+      << "invalid " << name << "=\"" << v << "\" (expected 0 or 1)";
+  return true;
 }
 
 }  // namespace
@@ -129,20 +141,11 @@ MemorySystem::MemorySystem(const DdcConfig& config,
   TELEPORT_CHECK(config.compute_nodes <= 255)
       << "page ownership is tracked in a uint8_t";
   // The explore tier exports TELEPORT_SCALAR_DATAPATH=1 to force per-access
-  // dispatch (schedule points at every element); any non-empty value other
-  // than "0" enables it.
-  const char* scalar = std::getenv("TELEPORT_SCALAR_DATAPATH");
-  if (scalar != nullptr && scalar[0] != '\0' &&
-      !(scalar[0] == '0' && scalar[1] == '\0')) {
-    scalar_datapath_ = true;
-  }
+  // dispatch (schedule points at every element).
+  scalar_datapath_ = BoolFromEnv("TELEPORT_SCALAR_DATAPATH");
   // TELEPORT_JOURNAL=1 turns on the redo journal (durable pool recovery);
   // unset/0 preserves the lossy §3.2 crash-restart behavior byte-for-byte.
-  const char* journal = std::getenv("TELEPORT_JOURNAL");
-  if (journal != nullptr && journal[0] != '\0' &&
-      !(journal[0] == '0' && journal[1] == '\0')) {
-    journal_enabled_ = true;
-  }
+  journal_enabled_ = BoolFromEnv("TELEPORT_JOURNAL");
 }
 
 MemorySystem::PageState& MemorySystem::PS(PageId p) {
@@ -358,10 +361,8 @@ void MemorySystem::LinuxSsdTouch(ExecutionContext& ctx, PageId page,
 Nanos MemorySystem::EnsureInMemoryPoolCost(ExecutionContext& ctx,
                                            PageId page) {
   PageState& s = PS(page);
-  const int shard = ShardOf(page);
-  ShardState& sh = shards_[static_cast<size_t>(shard)];
   if (s.in_memory_pool) {
-    sh.pool_lru.MoveToFront(page);
+    shards_[static_cast<size_t>(ShardOf(page))].pool_lru.MoveToFront(page);
     return 0;
   }
   Nanos cost = 0;
@@ -373,18 +374,24 @@ Nanos MemorySystem::EnsureInMemoryPoolCost(ExecutionContext& ctx,
   } else {
     cost += params_.minor_fault_ns;  // zero-fill allocation in the pool
   }
-  if (sh.pool_used >= pool_capacity_pages_) EvictOnePoolPage(ctx, shard);
+  PoolAdmit(ctx, page);
   BumpTlbEpoch(page);  // the page's pool residency changes
-  s.in_memory_pool = true;
+  return cost;
+}
+
+void MemorySystem::PoolAdmit(ExecutionContext& ctx, PageId page) {
+  const int shard = ShardOf(page);
+  ShardState& sh = shards_[static_cast<size_t>(shard)];
+  if (sh.pool_used >= pool_capacity_pages_) EvictOnePoolPage(ctx, shard);
+  pages_[page].in_memory_pool = true;
   sh.pool_lru.PushFront(page);
   ++sh.pool_used;
-  return cost;
 }
 
 void MemorySystem::EvictOnePoolPage(ExecutionContext& ctx, int shard) {
   ShardState& sh = shards_[static_cast<size_t>(shard)];
   const PageId victim = sh.pool_lru.Back();
-  TELEPORT_DCHECK(victim != kNil) << "memory pool empty but full";
+  TELEPORT_DCHECK(victim != LruList::kNil) << "memory pool empty but full";
   BumpTlbEpoch(victim);  // shootdown before the victim's state is rewritten
   PageState& v = pages_[victim];
   sh.pool_lru.Remove(victim);
@@ -431,13 +438,13 @@ void MemorySystem::EvictOneCachePage(ExecutionContext& ctx) {
   PageId victim = cn.cache_lru.Back();
   if (config_.cache_policy == CachePolicy::kClock) {
     // Second chance: a referenced page at the hand is spared once.
-    while (victim != kNil && pages_[victim].ref_bit) {
+    while (victim != LruList::kNil && pages_[victim].ref_bit) {
       pages_[victim].ref_bit = false;
       cn.cache_lru.MoveToFront(victim);
       victim = cn.cache_lru.Back();
     }
   }
-  TELEPORT_DCHECK(victim != kNil) << "compute cache empty but full";
+  TELEPORT_DCHECK(victim != LruList::kNil) << "compute cache empty but full";
   EvictSpecificCachePage(ctx, victim);
 }
 
@@ -470,7 +477,6 @@ void MemorySystem::EvictSpecificCachePage(ExecutionContext& ctx,
   // DDC: write the page back to its home shard over the evicting node's
   // link (for a cross-node migration the traffic leaves the old owner).
   const int shard = ShardOf(victim);
-  ShardState& sh = shards_[static_cast<size_t>(shard)];
   const Nanos delivered =
       fabric_.SendToMemory(net::Link{static_cast<int>(v.owner), shard},
                            ctx.now(), params_.page_size + 64);
@@ -481,12 +487,9 @@ void MemorySystem::EvictSpecificCachePage(ExecutionContext& ctx,
   ctx.metrics_.bytes_to_memory_pool += params_.page_size;
   // The pool materializes the page (no storage read: data came from compute).
   if (!v.in_memory_pool) {
-    if (sh.pool_used >= pool_capacity_pages_) EvictOnePoolPage(ctx, shard);
-    v.in_memory_pool = true;
-    sh.pool_lru.PushFront(victim);
-    ++sh.pool_used;
+    PoolAdmit(ctx, victim);
   } else {
-    sh.pool_lru.MoveToFront(victim);
+    shards_[static_cast<size_t>(shard)].pool_lru.MoveToFront(victim);
   }
   v.mem_dirty = true;
   // Ack point of the writeback: the pool acknowledges once the redo record
@@ -581,10 +584,7 @@ void MemorySystem::ComputeTouch(ExecutionContext& ctx, PageId page,
             ? fabric_.RoundTripFromCompute(link, ctx.now(), 64, resp_bytes,
                                            handler)
             : RetriedPageFaultRpc(ctx, link, 64, resp_bytes, handler);
-    ctx.clock_.AdvanceTo(done);
-    fabric_.DrainQueueStats(ctx.metrics_);
-    ctx.metrics_.net_messages += 2;
-    ctx.metrics_.net_bytes += 64 + resp_bytes;
+    ChargeRoundTrip(ctx, done, 64 + resp_bytes);
     if (has_remote_data) {
       ctx.metrics_.bytes_from_memory_pool +=
           params_.page_size * (1 + prefetch.size());
@@ -629,39 +629,35 @@ void MemorySystem::MemoryTouch(ExecutionContext& ctx, PageId page,
   Notify(CoherenceEvent::Kind::kMemoryAccess, page, write, ctx.now());
 }
 
+void MemorySystem::ChargeRoundTrip(ExecutionContext& ctx, Nanos done,
+                                   uint64_t bytes) {
+  ctx.clock_.AdvanceTo(done);
+  fabric_.DrainQueueStats(ctx.metrics_);
+  ctx.metrics_.net_messages += 2;
+  ctx.metrics_.net_bytes += bytes;
+}
+
 Nanos MemorySystem::RetriedPageFaultRpc(ExecutionContext& ctx, net::Link link,
                                         uint64_t req_bytes,
                                         uint64_t resp_bytes,
                                         Nanos handler_ns) {
+  // The retry rounds wait out scheduled outages between rounds (the
+  // heartbeat thread reports the heal time, §3.2) and are capped so a
+  // pathological schedule cannot loop forever; after that the reliable
+  // transport carries the fault.
   tp::RetryStats stats;
-  Nanos t = ctx.now();
-  // Each round burns fault_retry_.max_attempts attempts; between rounds the
-  // caller waits out any scheduled outage (the heartbeat thread reports the
-  // heal time, §3.2). Rounds are capped so a pathological schedule cannot
-  // loop forever; after that the reliable transport carries the fault.
-  for (int round = 0; round < 16; ++round) {
-    const tp::RetryOutcome out = tp::RetryRoundTripFromCompute(
-        fabric_, fault_retry_, retry_rng_, t, req_bytes, resp_bytes,
-        handler_ns, net::MessageKind::kPageFaultRequest,
-        net::MessageKind::kPageFaultReply, &stats, link);
-    if (out.ok) {
-      retry_stats_.Add(stats);
-      ctx.metrics_.retries += stats.retries;
-      ctx.metrics_.fault_events += stats.retries;
-      return out.done;
-    }
-    t = out.gave_up_at;
-    const Nanos heal = fabric_.NextReachableAt(t, link.dst);
-    if (heal == net::Fabric::kNeverHeals) break;
-    if (heal > t) t = heal;
-  }
+  const tp::RetryOutcome out = tp::RetryRoundTripFromCompute(
+      fabric_, fault_retry_, retry_rng_, ctx.now(), req_bytes, resp_bytes,
+      handler_ns, net::MessageKind::kPageFaultRequest,
+      net::MessageKind::kPageFaultReply, stats, link);
   retry_stats_.Add(stats);
   ctx.metrics_.retries += stats.retries;
   ctx.metrics_.fault_events += stats.retries;
+  if (out.ok) return out.done;
   // Transport floor: ReliableDeliver retransmits below the RPC layer and
   // cannot lose the message, so the fault always completes.
-  return fabric_.RoundTripFromCompute(link, t, req_bytes, resp_bytes,
-                                      handler_ns);
+  return fabric_.RoundTripFromCompute(link, out.gave_up_at, req_bytes,
+                                      resp_bytes, handler_ns);
 }
 
 void MemorySystem::CoherenceComputeFault(ExecutionContext& ctx, PageId page,
@@ -718,14 +714,12 @@ void MemorySystem::CoherenceComputeFault(ExecutionContext& ctx, PageId page,
   }
 
   const net::Link link{static_cast<int>(ctx.node_), ShardOf(page)};
-  const Nanos done =
-      fabric_.RoundTripFromCompute(link, ctx.now(), 64, resp_bytes, handler);
-  ctx.clock_.AdvanceTo(done);
-  fabric_.DrainQueueStats(ctx.metrics_);
+  ChargeRoundTrip(
+      ctx,
+      fabric_.RoundTripFromCompute(link, ctx.now(), 64, resp_bytes, handler),
+      64 + resp_bytes);
   ctx.coherence_ns_ += ctx.now() - start;
   ctx.metrics_.coherence_messages += 2;
-  ctx.metrics_.net_messages += 2;
-  ctx.metrics_.net_bytes += 64 + resp_bytes;
 
   if (need_data) {
     ++ctx.metrics_.cache_misses;
@@ -807,12 +801,9 @@ void MemorySystem::CoherenceMemoryFault(ExecutionContext& ctx, PageId page,
     // fault loses the tiebreak.
     s.mem_upgrade_inflight_until = done;
   }
-  ctx.clock_.AdvanceTo(done);
-  fabric_.DrainQueueStats(ctx.metrics_);
+  ChargeRoundTrip(ctx, done, 64 + resp_bytes);
   ctx.coherence_ns_ += ctx.now() - start;
   ctx.metrics_.coherence_messages += 2;
-  ctx.metrics_.net_messages += 2;
-  ctx.metrics_.net_bytes += 64 + resp_bytes;
 
   s.temp_perm = wanted;
 }
@@ -897,7 +888,7 @@ void MemorySystem::EndPushdownSession(ExecutionContext* ctx) {
 }
 
 void MemorySystem::Syncmem(ExecutionContext& ctx, VAddr addr, uint64_t len) {
-  TELEPORT_DCHECK(len > 0);
+  if (len == 0) return;  // an empty range flushes nothing and costs nothing
   EnsurePageTables();
   const uint64_t page_size = params_.page_size;
   const PageId first = addr / page_size;
@@ -916,18 +907,11 @@ void MemorySystem::Syncmem(ExecutionContext& ctx, VAddr addr, uint64_t len) {
         s.temp_perm == Perm::kNone) {
       s.temp_perm = Perm::kRead;
     }
-    const int shard = ShardOf(p);
-    ShardState& sh = shards_[static_cast<size_t>(shard)];
-    if (!s.in_memory_pool) {
-      if (sh.pool_used >= pool_capacity_pages_) EvictOnePoolPage(ctx, shard);
-      s.in_memory_pool = true;
-      sh.pool_lru.PushFront(p);
-      ++sh.pool_used;
-    }
+    if (!s.in_memory_pool) PoolAdmit(ctx, p);
     s.mem_dirty = true;
     JournalCommit(&ctx, p, ctx.now());
     ++flushed;
-    ++per_shard[static_cast<size_t>(shard)];
+    ++per_shard[static_cast<size_t>(ShardOf(p))];
     Notify(CoherenceEvent::Kind::kSyncmemPage, p, false, ctx.now());
   }
   if (flushed == 0) return;
@@ -988,14 +972,7 @@ uint64_t MemorySystem::FlushRange(ExecutionContext& ctx, VAddr addr,
       ++transferred;
       ++per_shard[static_cast<size_t>(ShardOf(p))];
       s.compute_dirty = false;
-      const int shard = ShardOf(p);
-      ShardState& sh = shards_[static_cast<size_t>(shard)];
-      if (!s.in_memory_pool) {
-        if (sh.pool_used >= pool_capacity_pages_) EvictOnePoolPage(ctx, shard);
-        s.in_memory_pool = true;
-        sh.pool_lru.PushFront(p);
-        ++sh.pool_used;
-      }
+      if (!s.in_memory_pool) PoolAdmit(ctx, p);
       s.mem_dirty = true;
       JournalCommit(&ctx, p, ctx.now());
     } else {
@@ -1011,39 +988,10 @@ uint64_t MemorySystem::FlushRange(ExecutionContext& ctx, VAddr addr,
     Notify(CoherenceEvent::Kind::kFlushPage, p, drop, ctx.now());
   }
   if (moved == 0) return 0;
-  const uint64_t bytes = transferred * params_.page_size;
-  if (fabric_.backend() != net::Backend::kIdeal && transferred > 0) {
-    // Contended backends ride the eager writeback over the fabric: one
-    // scatter-gather verb per destination shard, so queue residency and NIC
-    // sharing stretch the flush. kIdeal keeps the closed-form estimate below
-    // (it never touched the fabric, and committed channel residency from a
-    // flush would perturb unrelated lagging sends' FIFO clamps).
-    Nanos last_delivered = ctx.now();
-    std::vector<uint64_t> segments;
-    for (size_t sidx = 0; sidx < per_shard.size(); ++sidx) {
-      if (per_shard[sidx] == 0) continue;
-      segments.assign(per_shard[sidx], params_.page_size);
-      last_delivered = std::max(
-          last_delivered,
-          fabric_.SendGatherToMemory(
-              net::Link{static_cast<int>(ctx.node_), static_cast<int>(sidx)},
-              ctx.now(), segments, net::MessageKind::kPageReturn));
-    }
-    ctx.clock_.AdvanceTo(last_delivered);
-    ctx.clock_.Advance(static_cast<Nanos>(transferred) *
-                       params_.eager_sync_per_page_ns);
-    fabric_.DrainQueueStats(ctx.metrics_);
-  } else {
-    const Nanos cost =
-        params_.net_latency_ns +
-        static_cast<Nanos>(static_cast<double>(bytes) /
-                           params_.net_bytes_per_ns) +
-        static_cast<Nanos>(transferred) * params_.eager_sync_per_page_ns;
-    ctx.clock_.Advance(cost);
-  }
-  ctx.metrics_.net_messages += transferred + 1;
-  ctx.metrics_.net_bytes += bytes + 64;
-  ctx.metrics_.bytes_to_memory_pool += bytes;
+  ChargeBulkTransfer(ctx, per_shard, transferred, /*to_memory=*/true);
+  // Plus the flush request's 64-byte header.
+  ctx.metrics_.net_messages += 1;
+  ctx.metrics_.net_bytes += 64;
   return moved;
 }
 
@@ -1068,23 +1016,36 @@ void MemorySystem::BulkRefetch(ExecutionContext& ctx, uint64_t pages) {
     ++per_shard[static_cast<size_t>(ShardOf(p))];
     Notify(CoherenceEvent::Kind::kRefetchPage, p, false, ctx.now());
   }
-  const uint64_t bytes = refetched * params_.page_size;
-  if (fabric_.backend() != net::Backend::kIdeal && refetched > 0) {
-    // Mirror image of the FlushRange contended path: the refill streams back
-    // from each home shard as one gather list over the shared controller.
+  ChargeBulkTransfer(ctx, per_shard, refetched, /*to_memory=*/false);
+}
+
+void MemorySystem::ChargeBulkTransfer(ExecutionContext& ctx,
+                                      const std::vector<uint64_t>& per_shard,
+                                      uint64_t pages, bool to_memory) {
+  const uint64_t bytes = pages * params_.page_size;
+  if (fabric_.backend() != net::Backend::kIdeal && pages > 0) {
+    // Contended backends ride the eager transfer over the fabric: one
+    // scatter-gather verb per home shard, so queue residency and NIC sharing
+    // stretch it. kIdeal keeps the closed-form estimate below (it never
+    // touched the fabric, and committed channel residency from a flush would
+    // perturb unrelated lagging sends' FIFO clamps).
     Nanos last_delivered = ctx.now();
     std::vector<uint64_t> segments;
     for (size_t sidx = 0; sidx < per_shard.size(); ++sidx) {
       if (per_shard[sidx] == 0) continue;
       segments.assign(per_shard[sidx], params_.page_size);
+      const net::Link link{static_cast<int>(ctx.node_),
+                           static_cast<int>(sidx)};
       last_delivered = std::max(
           last_delivered,
-          fabric_.SendGatherToCompute(
-              net::Link{static_cast<int>(ctx.node_), static_cast<int>(sidx)},
-              ctx.now(), segments, net::MessageKind::kPageFaultReply));
+          to_memory ? fabric_.SendGatherToMemory(link, ctx.now(), segments,
+                                                 net::MessageKind::kPageReturn)
+                    : fabric_.SendGatherToCompute(
+                          link, ctx.now(), segments,
+                          net::MessageKind::kPageFaultReply));
     }
     ctx.clock_.AdvanceTo(last_delivered);
-    ctx.clock_.Advance(static_cast<Nanos>(refetched) *
+    ctx.clock_.Advance(static_cast<Nanos>(pages) *
                        params_.eager_sync_per_page_ns);
     fabric_.DrainQueueStats(ctx.metrics_);
   } else {
@@ -1092,12 +1053,13 @@ void MemorySystem::BulkRefetch(ExecutionContext& ctx, uint64_t pages) {
         params_.net_latency_ns +
         static_cast<Nanos>(static_cast<double>(bytes) /
                            params_.net_bytes_per_ns) +
-        static_cast<Nanos>(refetched) * params_.eager_sync_per_page_ns;
+        static_cast<Nanos>(pages) * params_.eager_sync_per_page_ns;
     ctx.clock_.Advance(cost);
   }
-  ctx.metrics_.net_messages += refetched;
+  ctx.metrics_.net_messages += pages;
   ctx.metrics_.net_bytes += bytes;
-  ctx.metrics_.bytes_from_memory_pool += bytes;
+  (to_memory ? ctx.metrics_.bytes_to_memory_pool
+             : ctx.metrics_.bytes_from_memory_pool) += bytes;
 }
 
 MemorySystem::RestartOutcome MemorySystem::ApplyPoolRestartsAt(

@@ -24,6 +24,62 @@ namespace teleport::ddc {
 class MemorySystem;
 class Cursor;
 
+/// Intrusive-by-index LRU list over page ids. List surgery is inline:
+/// it sits on the hit path of every charged access (directly or via the
+/// pinned fast path's move-to-front-if-needed).
+class LruList {
+ public:
+  static constexpr uint32_t kNil = 0xffffffffu;
+
+  void EnsureSize(size_t n);
+  bool Contains(PageId p) const {
+    return p < in_list_.size() && in_list_[p] != 0;
+  }
+  void PushFront(PageId p) {
+    EnsureSize(p + 1);
+    TELEPORT_DCHECK(!Contains(p));
+    prev_[p] = kNil;
+    next_[p] = head_;
+    if (head_ != kNil) prev_[head_] = static_cast<uint32_t>(p);
+    head_ = static_cast<uint32_t>(p);
+    if (tail_ == kNil) tail_ = static_cast<uint32_t>(p);
+    in_list_[p] = 1;
+    ++size_;
+  }
+  void Remove(PageId p) {
+    TELEPORT_DCHECK(Contains(p));
+    const uint32_t pr = prev_[p];
+    const uint32_t nx = next_[p];
+    if (pr != kNil) next_[pr] = nx; else head_ = nx;
+    if (nx != kNil) prev_[nx] = pr; else tail_ = pr;
+    prev_[p] = next_[p] = kNil;
+    in_list_[p] = 0;
+    --size_;
+  }
+  void MoveToFront(PageId p) {
+    Remove(p);
+    PushFront(p);
+  }
+  /// Most-recently-used element; kNil if empty. The pinned fast path
+  /// skips MoveToFront when the page is already at the front, which
+  /// preserves the exact recency order at a fraction of the cost.
+  PageId Front() const { return head_; }
+  /// Least-recently-used element; kNil if empty.
+  PageId Back() const { return tail_; }
+  size_t size() const { return size_; }
+  /// Empties the list in O(capacity) (crash-restart wipes a whole pool).
+  void Clear();
+
+ private:
+  std::vector<uint32_t> prev_, next_;
+  /// Membership bitmap. uint8_t, not vector<bool>: Contains() is on the
+  /// access hot path and the proxy-reference bit arithmetic costs more
+  /// than the 8x space.
+  std::vector<uint8_t> in_list_;
+  uint32_t head_ = kNil, tail_ = kNil;
+  size_t size_ = 0;
+};
+
 /// One entry of the miniature software TLB used by the extent fast path: a
 /// pinned translation of a single page whose state is known to be a plain
 /// cache/pool *hit* for the recorded access modes. While the pin is valid, a
@@ -73,7 +129,7 @@ struct PagePin {
   bool* touched_flag = nullptr;  ///< temp_touched while a session is active
   bool* ref_bit = nullptr;       ///< CLOCK reference bit (lru_kind == 2)
   uint64_t* hit_counter = nullptr;  ///< cache_hits / memory_pool_hits
-  void* lru_list = nullptr;         ///< MemorySystem::LruList*
+  LruList* lru_list = nullptr;
   Nanos seq_ns = 0;                 ///< per-access sequential base cost
   double ns_per_byte = 0;
 
@@ -112,31 +168,22 @@ class ExecutionContext {
   /// Reads a POD value at `addr`, charging the access.
   template <typename T>
   T Load(VAddr addr) {
-    const void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/false);
-    if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/false);
     T v;
-    std::memcpy(&v, p, sizeof(T));
+    std::memcpy(&v, PinnedAccess(tlb_, addr, sizeof(T), false, false),
+                sizeof(T));
     return v;
   }
 
   /// Writes a POD value at `addr`, charging the access.
   template <typename T>
   void Store(VAddr addr, const T& v) {
-    void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/true);
-    if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/true);
-    std::memcpy(p, &v, sizeof(T));
+    std::memcpy(PinnedAccess(tlb_, addr, sizeof(T), true, false), &v,
+                sizeof(T));
   }
 
   /// Charges a read of [addr, addr+len) and returns a host pointer to it.
   const void* ReadRange(VAddr addr, uint64_t len) {
-    const void* p = TryPinned(tlb_, addr, len, /*write=*/false);
-    return p != nullptr ? p : SlowAccess(addr, len, /*write=*/false);
-  }
-
-  /// Charges a write of [addr, addr+len) and returns a host pointer to it.
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = TryPinned(tlb_, addr, len, /*write=*/true);
-    return p != nullptr ? p : SlowAccess(addr, len, /*write=*/true);
+    return PinnedAccess(tlb_, addr, len, /*write=*/false, /*eager=*/false);
   }
 
   // --- Extent (bulk) APIs ---------------------------------------------------
@@ -145,26 +192,39 @@ class ExecutionContext {
   // sequence of the equivalent Load/Store loop — same touch order, same
   // per-element charges — but runs of same-page hit accesses are charged in
   // closed form through the pinned translation (one multiplication instead
-  // of N dispatches). With a yield hook installed (sim::CoopTask) or the
-  // TELEPORT_SCALAR_DATAPATH knob set, they degrade to the per-element
-  // scalar path so schedule-exploration granularity is preserved.
+  // of N dispatches). All three share one walker (WalkSpan). With a yield
+  // hook installed (sim::CoopTask) or the TELEPORT_SCALAR_DATAPATH knob set,
+  // they degrade to the per-element scalar path so schedule-exploration
+  // granularity is preserved.
 
   /// Reads `count` elements of T starting at `addr` into `dst`.
   template <typename T>
-  void LoadSpan(VAddr addr, T* dst, uint64_t count);
+  void LoadSpan(VAddr addr, T* dst, uint64_t count) {
+    WalkSpan<T, /*kWrite=*/false>(
+        addr, count, [dst](std::byte* h, uint64_t i, uint64_t n) {
+          std::memcpy(dst + i, h, n * sizeof(T));
+        });
+  }
 
   /// Writes `count` elements of T from `src` starting at `addr`.
   template <typename T>
-  void StoreSpan(VAddr addr, const T* src, uint64_t count);
+  void StoreSpan(VAddr addr, const T* src, uint64_t count) {
+    WalkSpan<T, /*kWrite=*/true>(
+        addr, count, [src](std::byte* h, uint64_t i, uint64_t n) {
+          std::memcpy(h, src + i, n * sizeof(T));
+        });
+  }
 
   /// Stores `count` copies of `value` starting at `addr`.
   template <typename T>
-  void Fill(VAddr addr, const T& value, uint64_t count);
-
-  /// Copies `count` elements of T from `src_addr` to `dst_addr`, charging
-  /// the alternating load/store sequence of the scalar loop.
-  template <typename T>
-  void Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count);
+  void Fill(VAddr addr, const T& value, uint64_t count) {
+    WalkSpan<T, /*kWrite=*/true>(
+        addr, count, [&value](std::byte* h, uint64_t, uint64_t n) {
+          for (uint64_t j = 0; j < n; ++j) {
+            std::memcpy(h + j * sizeof(T), &value, sizeof(T));
+          }
+        });
+  }
 
   /// Charges `ops` simple CPU operations at this pool's clock speed.
   void ChargeCpu(uint64_t ops);
@@ -219,6 +279,26 @@ class ExecutionContext {
   /// Full dispatch plus unconditional pin refill (cursors and spans declare
   /// sequential intent).
   void* PinnedSlowAccess(PagePin& pin, VAddr addr, uint64_t len, bool write);
+  /// The one charged access behind Load/Store/ReadRange of contexts and
+  /// cursors: the closed-form hit when `pin` covers the access, else the
+  /// full dispatch with an eager (PinnedSlowAccess) or two-miss (SlowAccess,
+  /// context TLB only) refill. Forced inline: it is the body of every
+  /// scalar access, and an out-of-line copy costs a call per access.
+  [[gnu::always_inline]] void* PinnedAccess(PagePin& pin, VAddr addr,
+                                            uint64_t len, bool write,
+                                            bool eager) {
+    void* p = TryPinned(pin, addr, len, write);
+    if (p != nullptr) return p;
+    return eager ? PinnedSlowAccess(pin, addr, len, write)
+                 : SlowAccess(addr, len, write);
+  }
+  /// The extent walker: walks `count` elements of T from `addr` through the
+  /// context TLB, charging each same-page run in closed form and each other
+  /// element as one eager-refill access, and hands every run's host bytes
+  /// to `move(host, first_element, n)`. The access mode is a template
+  /// argument so each span's loop compiles with it folded in.
+  template <typename T, bool kWrite, typename MoveFn>
+  void WalkSpan(VAddr addr, uint64_t count, MoveFn move);
 
   MemorySystem* ms_;
   Pool pool_;
@@ -652,8 +732,6 @@ class MemorySystem {
  private:
   friend class ExecutionContext;
 
-  static constexpr uint32_t kNil = 0xffffffffu;
-
   struct PageState {
     Perm compute_perm = Perm::kNone;
     Perm temp_perm = Perm::kNone;
@@ -674,60 +752,6 @@ class MemorySystem {
     /// End of the §4.1 in-flight window of a memory-side upgrade request;
     /// compute-side write faults inside the window lose the tiebreak.
     Nanos mem_upgrade_inflight_until = 0;
-  };
-
-  /// Intrusive-by-index LRU list over page ids. List surgery is inline:
-  /// it sits on the hit path of every charged access (directly or via the
-  /// pinned fast path's move-to-front-if-needed).
-  class LruList {
-   public:
-    void EnsureSize(size_t n);
-    bool Contains(PageId p) const {
-      return p < in_list_.size() && in_list_[p] != 0;
-    }
-    void PushFront(PageId p) {
-      EnsureSize(p + 1);
-      TELEPORT_DCHECK(!Contains(p));
-      prev_[p] = kNil;
-      next_[p] = head_;
-      if (head_ != kNil) prev_[head_] = static_cast<uint32_t>(p);
-      head_ = static_cast<uint32_t>(p);
-      if (tail_ == kNil) tail_ = static_cast<uint32_t>(p);
-      in_list_[p] = 1;
-      ++size_;
-    }
-    void Remove(PageId p) {
-      TELEPORT_DCHECK(Contains(p));
-      const uint32_t pr = prev_[p];
-      const uint32_t nx = next_[p];
-      if (pr != kNil) next_[pr] = nx; else head_ = nx;
-      if (nx != kNil) prev_[nx] = pr; else tail_ = pr;
-      prev_[p] = next_[p] = kNil;
-      in_list_[p] = 0;
-      --size_;
-    }
-    void MoveToFront(PageId p) {
-      Remove(p);
-      PushFront(p);
-    }
-    /// Most-recently-used element; kNil if empty. The pinned fast path
-    /// skips MoveToFront when the page is already at the front, which
-    /// preserves the exact recency order at a fraction of the cost.
-    PageId Front() const { return head_; }
-    /// Least-recently-used element; kNil if empty.
-    PageId Back() const { return tail_; }
-    size_t size() const { return size_; }
-    /// Empties the list in O(capacity) (crash-restart wipes a whole pool).
-    void Clear();
-
-   private:
-    std::vector<uint32_t> prev_, next_;
-    /// Membership bitmap. uint8_t, not vector<bool>: Contains() is on the
-    /// access hot path and the proxy-reference bit arithmetic costs more
-    /// than the 8x space.
-    std::vector<uint8_t> in_list_;
-    uint32_t head_ = kNil, tail_ = kNil;
-    size_t size_ = 0;
   };
 
   PageState& PS(PageId p);
@@ -752,6 +776,22 @@ class MemorySystem {
   /// needed). Returns the pool-side cost so callers can fold it into a
   /// fault handler's service time; storage metrics are charged to `ctx`.
   Nanos EnsureInMemoryPoolCost(ExecutionContext& ctx, PageId page);
+
+  /// Makes `page` resident in its home shard's pool, evicting that shard's
+  /// LRU victim first when the shard is full.
+  void PoolAdmit(ExecutionContext& ctx, PageId page);
+
+  /// Charges a completed two-message RPC of `bytes` total to `ctx`: its
+  /// clock advances to `done` and the fabric's pending queue stats drain
+  /// into its metrics.
+  void ChargeRoundTrip(ExecutionContext& ctx, Nanos done, uint64_t bytes);
+
+  /// Charges the eager strawman's streamed transfer of `pages` pages,
+  /// `per_shard[s]` of them homed on shard s, to (FlushRange) or from
+  /// (BulkRefetch) the memory pool.
+  void ChargeBulkTransfer(ExecutionContext& ctx,
+                          const std::vector<uint64_t>& per_shard,
+                          uint64_t pages, bool to_memory);
 
   /// Inserts a page into `ctx`'s node's compute cache, evicting if full.
   void CacheInsert(ExecutionContext& ctx, PageId page, Perm perm, bool dirty);
@@ -976,10 +1016,9 @@ inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
   // Exactly the hit-side bookkeeping of n scalar Touch calls.
   if (pin.hit_counter != nullptr) *pin.hit_counter += n;
   if (pin.lru_kind == 1) {
-    auto* lru = static_cast<MemorySystem::LruList*>(pin.lru_list);
     // MoveToFront of the front element is a structural no-op; skipping it
     // preserves the exact recency order.
-    if (lru->Front() != pin.page) lru->MoveToFront(pin.page);
+    if (pin.lru_list->Front() != pin.page) pin.lru_list->MoveToFront(pin.page);
   } else if (pin.lru_kind == 2) {
     *pin.ref_bit = true;  // CLOCK: idempotent
   }
@@ -1047,108 +1086,22 @@ inline void* ExecutionContext::PinnedSlowAccess(PagePin& pin, VAddr addr,
   return p;
 }
 
-template <typename T>
-void ExecutionContext::LoadSpan(VAddr addr, T* dst, uint64_t count) {
+template <typename T, bool kWrite, typename MoveFn>
+inline void ExecutionContext::WalkSpan(VAddr addr, uint64_t count,
+                                       MoveFn move) {
   uint64_t i = 0;
   while (i < count) {
     const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), false)) {
+    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), kWrite)) {
       uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);  // run staying in the pin
       n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, false);
-      std::memcpy(dst + i, tlb_.host + (a - tlb_.v_lo), n * sizeof(T));
+      ChargePinnedRun(tlb_, sizeof(T), n, kWrite);
+      move(tlb_.host + (a - tlb_.v_lo), i, n);
       i += n;
       continue;
     }
-    const void* p = TryPinned(tlb_, a, sizeof(T), false);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), false);
-    std::memcpy(dst + i, p, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::StoreSpan(VAddr addr, const T* src, uint64_t count) {
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), true)) {
-      uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);
-      n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, true);
-      std::memcpy(tlb_.host + (a - tlb_.v_lo), src + i, n * sizeof(T));
-      i += n;
-      continue;
-    }
-    void* p = TryPinned(tlb_, a, sizeof(T), true);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), true);
-    std::memcpy(p, src + i, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::Fill(VAddr addr, const T& value, uint64_t count) {
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), true)) {
-      uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);
-      n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, true);
-      std::byte* h = tlb_.host + (a - tlb_.v_lo);
-      for (uint64_t j = 0; j < n; ++j) {
-        std::memcpy(h + j * sizeof(T), &value, sizeof(T));
-      }
-      i += n;
-      continue;
-    }
-    void* p = TryPinned(tlb_, a, sizeof(T), true);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), true);
-    std::memcpy(p, &value, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count) {
-  // Element sequence of the scalar loop: load src[i], then store dst[i].
-  // The source gets a local pin so the context TLB keeps covering the
-  // destination page across calls.
-  PagePin src_pin;
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr sa = src_addr + i * sizeof(T);
-    const VAddr da = dst_addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(src_pin, sa, sizeof(T), false) &&
-        PinnedRunReady(tlb_, da, sizeof(T), true)) {
-      uint64_t n = std::min((src_pin.v_hi - sa + 1) / sizeof(T),
-                            (tlb_.v_hi - da + 1) / sizeof(T));
-      n = std::min(n, count - i);
-      if (src_pin.notify || tlb_.notify) {
-        // Preserve the exact load/store event interleaving for observers.
-        for (uint64_t j = 0; j < n; ++j) {
-          ChargePinnedRun(src_pin, sizeof(T), 1, false);
-          ChargePinnedRun(tlb_, sizeof(T), 1, true);
-        }
-      } else {
-        // Grouped charging: all Advances are constants, so the clock and
-        // every counter land exactly where the alternating loop puts them.
-        ChargePinnedRun(src_pin, sizeof(T), n, false);
-        ChargePinnedRun(tlb_, sizeof(T), n, true);
-      }
-      std::memmove(tlb_.host + (da - tlb_.v_lo),
-                   src_pin.host + (sa - src_pin.v_lo), n * sizeof(T));
-      i += n;
-      continue;
-    }
-    T v;
-    const void* sp = TryPinned(src_pin, sa, sizeof(T), false);
-    if (sp == nullptr) sp = PinnedSlowAccess(src_pin, sa, sizeof(T), false);
-    std::memcpy(&v, sp, sizeof(T));
-    void* dp = TryPinned(tlb_, da, sizeof(T), true);
-    if (dp == nullptr) dp = PinnedSlowAccess(tlb_, da, sizeof(T), true);
-    std::memcpy(dp, &v, sizeof(T));
+    void* p = PinnedAccess(tlb_, a, sizeof(T), kWrite, /*eager=*/true);
+    move(static_cast<std::byte*>(p), i, 1);
     ++i;
   }
 }
@@ -1166,33 +1119,21 @@ class Cursor {
 
   template <typename T>
   T Load(VAddr addr) {
-    const void* p = ctx_->TryPinned(pin_, addr, sizeof(T), /*write=*/false);
-    if (p == nullptr) {
-      p = ctx_->PinnedSlowAccess(pin_, addr, sizeof(T), /*write=*/false);
-    }
     T v;
-    std::memcpy(&v, p, sizeof(T));
+    std::memcpy(&v, ctx_->PinnedAccess(pin_, addr, sizeof(T), false, true),
+                sizeof(T));
     return v;
   }
 
   template <typename T>
   void Store(VAddr addr, const T& v) {
-    void* p = ctx_->TryPinned(pin_, addr, sizeof(T), /*write=*/true);
-    if (p == nullptr) {
-      p = ctx_->PinnedSlowAccess(pin_, addr, sizeof(T), /*write=*/true);
-    }
-    std::memcpy(p, &v, sizeof(T));
+    std::memcpy(ctx_->PinnedAccess(pin_, addr, sizeof(T), true, true), &v,
+                sizeof(T));
   }
 
   const void* ReadRange(VAddr addr, uint64_t len) {
-    const void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/false);
-    return p != nullptr ? p
-                        : ctx_->PinnedSlowAccess(pin_, addr, len, false);
-  }
-
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/true);
-    return p != nullptr ? p : ctx_->PinnedSlowAccess(pin_, addr, len, true);
+    return ctx_->PinnedAccess(pin_, addr, len, /*write=*/false,
+                              /*eager=*/true);
   }
 
  private:

@@ -135,39 +135,24 @@ Status PushdownRuntime::CheckHeartbeat(ddc::ExecutionContext& ctx,
   // transient outage (link flap / restartable memory node) is waited out
   // instead of latched as a panic. Only a pool that will never answer again
   // is §3.2's lost-main-memory case.
-  Nanos t = ctx.now();
   RetryStats stats;
-  bool ok = false;
-  Nanos probe_rtt = 0;
-  Nanos probe_allowed = 0;
-  for (int round = 0; round < 16 && !ok; ++round) {
-    const RetryOutcome out = RetryRoundTripFromCompute(
-        ms_->fabric(), retry_, retry_rng_, t, 64, 64, params.fault_handler_ns,
-        net::MessageKind::kHeartbeat, net::MessageKind::kHeartbeat, &stats,
-        link);
-    if (out.ok) {
-      // On success gave_up_at is the winning attempt's send time, so the
-      // deadline judges one probe's round trip — retransmission backoff and
-      // outage waits never count against it. Queue backlog at that instant
-      // is excused (congestion is not death; see the no-injector path).
-      probe_rtt = out.done - out.gave_up_at;
-      probe_allowed = params.heartbeat_deadline_ns +
-                      ms_->fabric().QueueBacklogNs(link, out.gave_up_at);
-      t = out.done;
-      ok = true;
-      break;
-    }
-    t = out.gave_up_at;
-    const Nanos heal = ms_->fabric().NextReachableAt(t, shard);
-    if (heal == net::Fabric::kNeverHeals) break;
-    if (heal > t) t = heal;
-  }
+  const RetryOutcome out = RetryRoundTripFromCompute(
+      ms_->fabric(), retry_, retry_rng_, ctx.now(), 64, 64,
+      params.fault_handler_ns, net::MessageKind::kHeartbeat,
+      net::MessageKind::kHeartbeat, stats, link);
   retry_events_ += stats.retries;
   ctx.metrics().retries += stats.retries;
   ctx.metrics().fault_events += stats.retries;
-  ctx.clock().AdvanceTo(t);
+  ctx.clock().AdvanceTo(out.ok ? out.done : out.gave_up_at);
   ms_->fabric().DrainQueueStats(ctx.metrics());
-  if (!ok || probe_rtt > probe_allowed) {
+  // On success gave_up_at is the winning attempt's send time, so the
+  // deadline judges one probe's round trip — retransmission backoff and
+  // outage waits never count against it. Queue backlog at that instant is
+  // excused (congestion is not death; see the no-injector path).
+  if (!out.ok ||
+      out.done - out.gave_up_at >
+          params.heartbeat_deadline_ns +
+              ms_->fabric().QueueBacklogNs(link, out.gave_up_at)) {
     panicked_ = true;
     return RecoveryStatus(RecoveryFault::kUnreachable);
   }
@@ -265,33 +250,21 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
     arrive = ms_->fabric().SendToMemory(link, send_time, req_bytes,
                                         net::MessageKind::kPushdownRequest);
   } else {
-    Nanos t = send_time;
-    bool delivered = false;
-    for (int a = 0; a < std::max(1, retry_.max_attempts); ++a) {
-      const net::SendOutcome out = ms_->fabric().TrySendToMemory(
-          link, t, req_bytes, net::MessageKind::kPushdownRequest);
-      if (out.delivered) {
-        arrive = out.deliver_at;
-        req_copies = out.copies;
-        delivered = true;
-        break;
-      }
-      Nanos wait = retry_.rto_ns + retry_.BackoffFor(a, retry_rng_);
-      t += wait;
-      const Nanos heal = ms_->fabric().NextReachableAt(t, home);
-      if (heal > t) {
-        wait += heal - t;
-        t = heal;
-      }
-      request_retry_wait += wait;
-      ++retry_events_;
-      ++caller.metrics().retries;
-      ++caller.metrics().fault_events;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "RetryRequest", t, sim::kTrackCompute);
-      }
-    }
-    if (!delivered) {
+    const RetryOutcome out = RetryAttempts(
+        ms_->fabric(), retry_, retry_rng_, send_time, home,
+        [&](Nanos t) {
+          const net::SendOutcome s = ms_->fabric().TrySendToMemory(
+              link, t, req_bytes, net::MessageKind::kPushdownRequest);
+          if (s.delivered) req_copies = s.copies;
+          return net::RpcOutcome{s.delivered, s.deliver_at};
+        },
+        [&](Nanos t, Nanos wait) {
+          request_retry_wait += wait;
+          CountRetry(caller, "RetryRequest", sim::kTrackCompute, t);
+        });
+    arrive = out.done;
+    if (!out.ok) {
+      const Nanos t = out.gave_up_at;
       bd.retry_ns += request_retry_wait;
       if (flags.fallback == FallbackPolicy::kLocal &&
           ms_->fabric().NextReachableAt(t, home) != net::Fabric::kNeverHeals) {
@@ -491,35 +464,21 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
     resp_arrive = ms_->fabric().SendToCompute(
         link, resp_sent, resp_bytes, net::MessageKind::kPushdownResponse);
   } else {
-    Nanos t = resp_sent;
-    bool delivered = false;
-    for (int a = 0; a < std::max(1, retry_.max_attempts); ++a) {
-      const net::SendOutcome out = ms_->fabric().TrySendToCompute(
-          link, t, resp_bytes, net::MessageKind::kPushdownResponse);
-      if (out.delivered) {
-        resp_arrive = out.deliver_at;
-        delivered = true;
-        break;
-      }
-      Nanos wait = retry_.rto_ns + retry_.BackoffFor(a, retry_rng_);
-      t += wait;
-      const Nanos heal = ms_->fabric().NextReachableAt(t, home);
-      if (heal > t) {
-        wait += heal - t;
-        t = heal;
-      }
-      resp_retry_wait += wait;
-      ++retry_events_;
-      ++caller.metrics().retries;
-      ++caller.metrics().fault_events;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "RetryResponse", t, sim::kTrackMemoryPool);
-      }
-    }
-    if (!delivered) {
-      resp_arrive = ms_->fabric().SendToCompute(
-          link, t, resp_bytes, net::MessageKind::kPushdownResponse);
-    }
+    const RetryOutcome out = RetryAttempts(
+        ms_->fabric(), retry_, retry_rng_, resp_sent, home,
+        [&](Nanos t) {
+          const net::SendOutcome s = ms_->fabric().TrySendToCompute(
+              link, t, resp_bytes, net::MessageKind::kPushdownResponse);
+          return net::RpcOutcome{s.delivered, s.deliver_at};
+        },
+        [&](Nanos t, Nanos wait) {
+          resp_retry_wait += wait;
+          CountRetry(caller, "RetryResponse", sim::kTrackMemoryPool, t);
+        });
+    resp_arrive = out.ok ? out.done
+                         : ms_->fabric().SendToCompute(
+                               link, out.gave_up_at, resp_bytes,
+                               net::MessageKind::kPushdownResponse);
   }
   caller.metrics().net_messages += 1;
   caller.metrics().net_bytes += resp_bytes;
@@ -540,16 +499,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // off) counts as post-pushdown synchronization.
   bd.post_sync_ns = (caller.now() - post0) + merge_ns;
 
-  TraceCall(bd, t0, /*fallback=*/false, flags.kernel);
-  last_breakdown_ = bd;
-  total_breakdown_.Add(bd);
-  call_latency_.Add(bd.Total());
-  online_sync_latency_.Add(bd.online_sync_ns);
-  ++completed_calls_;
-  if (flags.kernel >= 0 &&
-      static_cast<size_t>(flags.kernel) < kernel_calls_.size()) {
-    ++kernel_calls_[static_cast<size_t>(flags.kernel)];
-  }
+  FinishCall(bd, t0, /*fallback=*/false, flags.kernel);
   return st;
 }
 
@@ -586,7 +536,13 @@ Status PushdownRuntime::RunLocalFallback(ddc::ExecutionContext& caller,
   ++fallback_calls_;
   caller.metrics().fallbacks += 1;
   caller.metrics().pushdown_calls += 1;
-  TraceCall(bd, t0, /*fallback=*/true, kernel);
+  FinishCall(bd, t0, /*fallback=*/true, kernel);
+  return st;
+}
+
+void PushdownRuntime::FinishCall(const PushdownBreakdown& bd, Nanos t0,
+                                 bool fallback, int kernel) {
+  TraceCall(bd, t0, fallback, kernel);
   last_breakdown_ = bd;
   total_breakdown_.Add(bd);
   call_latency_.Add(bd.Total());
@@ -595,7 +551,16 @@ Status PushdownRuntime::RunLocalFallback(ddc::ExecutionContext& caller,
   if (kernel >= 0 && static_cast<size_t>(kernel) < kernel_calls_.size()) {
     ++kernel_calls_[static_cast<size_t>(kernel)];
   }
-  return st;
+}
+
+void PushdownRuntime::CountRetry(ddc::ExecutionContext& caller,
+                                 std::string_view name, int track, Nanos at) {
+  ++retry_events_;
+  ++caller.metrics().retries;
+  ++caller.metrics().fault_events;
+  if (sim::Tracer* tracer = ms_->tracer()) {
+    tracer->Instant("pushdown", name, at, track);
+  }
 }
 
 int PushdownRuntime::RegisterKernel(const std::string& name) {

@@ -261,6 +261,16 @@ class PushdownRuntime {
                           void* arg, PushdownBreakdown& bd, Nanos t0,
                           bool cancel_sent, net::Link link, int kernel);
 
+  /// Accounting tail of every completed call, pushed down or run locally:
+  /// trace spans, breakdown and latency roll-ups, per-kernel call counts.
+  void FinishCall(const PushdownBreakdown& bd, Nanos t0, bool fallback,
+                  int kernel);
+
+  /// Per-attempt accounting of a retried request or response send: the
+  /// runtime and caller retry counters plus a `name` trace instant at `at`.
+  void CountRetry(ddc::ExecutionContext& caller, std::string_view name,
+                  int track, Nanos at);
+
   /// Emits the per-call trace spans once a breakdown is final: one
   /// enclosing "call" span plus a child span per non-zero component, laid
   /// out consecutively from t0 and tagged with the call id (and the kernel

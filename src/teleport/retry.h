@@ -67,44 +67,75 @@ struct RetryStats {
   std::string ToString() const;
 };
 
-/// Outcome of a retried RPC: on success `done` is the completion time; on
-/// exhaustion `gave_up_at` is where the caller's clock stands after burning
-/// every attempt (so the caller can continue from there).
+/// Outcome of a retried RPC: on success `done` is the completion time and
+/// `gave_up_at` the winning attempt's send time; on exhaustion `gave_up_at`
+/// is where the caller's clock stands after burning every attempt (so the
+/// caller can continue from there).
 struct RetryOutcome {
   bool ok = false;
   Nanos done = 0;
   Nanos gave_up_at = 0;
 };
 
-/// Runs a compute-side round trip under `policy`: each dropped attempt costs
-/// one RTO plus jittered backoff of virtual time, then the request is
-/// retransmitted. If the link is down with a known heal time the retry also
-/// waits the outage out (the heartbeat thread tells the kernel when the pool
-/// answers again, §3.2). Without a fault injector the first attempt always
-/// succeeds with timing identical to Fabric::RoundTripFromCompute.
-inline RetryOutcome RetryRoundTripFromCompute(
-    net::Fabric& fabric, const RetryPolicy& policy, Rng& rng, Nanos now,
-    uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
-    net::MessageKind req_kind, net::MessageKind resp_kind,
-    RetryStats* stats = nullptr, net::Link link = net::Link{}) {
+/// The one attempt loop behind every retried send (§3.2). Calls
+/// `try_once(t)` — returning a net::RpcOutcome — at most
+/// `policy.max_attempts` times. Each failed attempt costs one RTO plus
+/// jittered backoff of virtual time; if `dst`'s link is down with a known
+/// heal time the retry also waits the outage out (the heartbeat thread tells
+/// the kernel when the pool answers again). `on_retry(t, wait)` then reports
+/// the resend time and the wait, so each site keeps its own counters and
+/// trace instants. Backoff is drawn from `rng` once per failed attempt, in
+/// attempt order, at every site.
+template <typename TryOnce, typename OnRetry>
+RetryOutcome RetryAttempts(const net::Fabric& fabric, const RetryPolicy& policy,
+                           Rng& rng, Nanos now, int dst, TryOnce&& try_once,
+                           OnRetry&& on_retry) {
   Nanos t = now;
   const int attempts = std::max(1, policy.max_attempts);
   for (int a = 0; a < attempts; ++a) {
-    if (stats != nullptr) ++stats->attempts;
-    const net::RpcOutcome rpc = fabric.TryRoundTripFromCompute(
-        link, t, req_bytes, resp_bytes, handler_ns, req_kind, resp_kind);
+    const net::RpcOutcome rpc = try_once(t);
     if (rpc.ok) return RetryOutcome{true, rpc.done, t};
     Nanos wait = policy.rto_ns + policy.BackoffFor(a, rng);
     t += wait;
-    const Nanos heal = fabric.NextReachableAt(t, link.dst);
+    const Nanos heal = fabric.NextReachableAt(t, dst);
     if (heal > t) {
       wait += heal - t;
       t = heal;
     }
-    if (stats != nullptr) {
-      ++stats->retries;
-      stats->backoff_ns += wait;
-    }
+    on_retry(t, wait);
+  }
+  return RetryOutcome{false, 0, t};
+}
+
+/// Runs a compute-side round trip (page-fault RPC, heartbeat) under
+/// `policy` in up to 16 rounds of RetryAttempts, counting into `stats`.
+/// Between rounds the caller waits out any scheduled outage; a pool that
+/// never heals ends the rounds early. Without a fault injector the first
+/// attempt always succeeds with timing identical to
+/// Fabric::RoundTripFromCompute.
+inline RetryOutcome RetryRoundTripFromCompute(
+    net::Fabric& fabric, const RetryPolicy& policy, Rng& rng, Nanos now,
+    uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
+    net::MessageKind req_kind, net::MessageKind resp_kind, RetryStats& stats,
+    net::Link link) {
+  const auto try_once = [&](Nanos t) {
+    ++stats.attempts;
+    return fabric.TryRoundTripFromCompute(link, t, req_bytes, resp_bytes,
+                                          handler_ns, req_kind, resp_kind);
+  };
+  const auto on_retry = [&](Nanos, Nanos wait) {
+    ++stats.retries;
+    stats.backoff_ns += wait;
+  };
+  Nanos t = now;
+  for (int round = 0; round < 16; ++round) {
+    const RetryOutcome out =
+        RetryAttempts(fabric, policy, rng, t, link.dst, try_once, on_retry);
+    if (out.ok) return out;
+    t = out.gave_up_at;
+    const Nanos heal = fabric.NextReachableAt(t, link.dst);
+    if (heal == net::Fabric::kNeverHeals) break;
+    if (heal > t) t = heal;
   }
   return RetryOutcome{false, 0, t};
 }

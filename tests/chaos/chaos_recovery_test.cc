@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -226,7 +227,39 @@ TEST(JournalKnobTest, EnvironmentVariableEnablesTheJournal) {
     ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
     EXPECT_FALSE(ms.journal_enabled());
   }
+  ::setenv("TELEPORT_JOURNAL", "", 1);
+  {
+    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
+    EXPECT_FALSE(ms.journal_enabled());
+  }
   ::unsetenv("TELEPORT_JOURNAL");
+}
+
+// Both boolean knobs accept only unset, "", "0" and "1"; anything else
+// aborts naming the variable and the value instead of silently turning the
+// knob on. Each death-test child owns its setenv.
+TEST(JournalKnobTest, InvalidBooleanKnobValuesAbortNamingTheVariable) {
+  for (const char* var : {"TELEPORT_JOURNAL", "TELEPORT_SCALAR_DATAPATH"}) {
+    for (const char* value : {"false", "off", "no", "true", "2"}) {
+      EXPECT_DEATH(
+          {
+            ::setenv(var, value, 1);
+            ddc::MemorySystem ms(Config(), sim::CostParams::Default(),
+                                 16 << 20);
+          },
+          std::string(var) + "=\"" + value + "\"")
+          << var << "=" << value;
+    }
+  }
+  EXPECT_EXIT(
+      {
+        ::setenv("TELEPORT_SCALAR_DATAPATH", "1", 1);
+        ddc::MemorySystem on(Config(), sim::CostParams::Default(), 16 << 20);
+        ::setenv("TELEPORT_SCALAR_DATAPATH", "0", 1);
+        ddc::MemorySystem off(Config(), sim::CostParams::Default(), 16 << 20);
+        std::exit(on.scalar_datapath() && !off.scalar_datapath() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // --- Property: N consecutive crash-restart windows. ----------------------

@@ -1,5 +1,5 @@
 // Property test for the extent fast path: a randomized program of scalar
-// accesses, spans, fills, memcpys, cursors, and pushdown sessions is run on
+// accesses, spans, fills, cursors, and pushdown sessions is run on
 // twin MemorySystems — one with the fast path live (default), one with
 // TELEPORT's scalar data path forced (set_scalar_datapath) — and every
 // observable must match bit for bit: loaded values, final memory image,
@@ -34,7 +34,6 @@ struct Op {
     kLoadSpan,
     kStoreSpan,
     kFill,
-    kMemcpy,
     kReadRange,
     kCursorWalk,     // short sequential cursor run (loads + stores)
     kSessionToggle,  // begin/end a pushdown session
@@ -44,7 +43,6 @@ struct Op {
   Kind kind;
   uint64_t addr = 0;   // word-aligned offset into the region
   uint64_t count = 0;  // elements (spans) or bytes (ReadRange)
-  uint64_t addr2 = 0;  // memcpy source
   int64_t value = 0;
 };
 
@@ -56,7 +54,7 @@ std::vector<Op> MakeProgram(uint64_t seed, int n_ops) {
   };
   for (int i = 0; i < n_ops; ++i) {
     Op op;
-    op.kind = static_cast<Op::Kind>(rng.Uniform(11));
+    op.kind = static_cast<Op::Kind>(rng.Uniform(10));
     switch (op.kind) {
       case Op::kLoad:
       case Op::kStore:
@@ -73,11 +71,6 @@ std::vector<Op> MakeProgram(uint64_t seed, int n_ops) {
         op.count = 1 + rng.Uniform(768);
         op.addr = word_addr(op.count);
         op.value = static_cast<int64_t>(rng.Uniform(1u << 30));
-        break;
-      case Op::kMemcpy:
-        op.count = 1 + rng.Uniform(768);
-        op.addr = word_addr(op.count);
-        op.addr2 = word_addr(op.count);
         break;
       case Op::kReadRange:
         // Unaligned, arbitrary-length reads (page-straddling included).
@@ -165,9 +158,6 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
         break;
       case Op::kFill:
         cc->Fill<int64_t>(base + op.addr, op.value, op.count);
-        break;
-      case Op::kMemcpy:
-        cc->Memcpy<int64_t>(base + op.addr, base + op.addr2, op.count);
         break;
       case Op::kReadRange: {
         const auto* p =
@@ -295,7 +285,8 @@ TEST(BulkAccessTest, PlainLoadStoreTlbIsInvisible) {
 }
 
 // Spans degrade to the exact scalar sequence when a yield hook is
-// installed — the explore tier depends on per-access granularity.
+// installed — the explore tier depends on per-access granularity. All three
+// span kinds share the walker's degrade branch; each is checked.
 TEST(BulkAccessTest, YieldHookForcesPerElementGranularity) {
   DdcConfig c;
   c.platform = Platform::kBaseDdc;
@@ -308,9 +299,15 @@ TEST(BulkAccessTest, YieldHookForcesPerElementGranularity) {
   uint64_t yields = 0;
   ctx->set_yield_hook(
       [](void* arg) { ++*static_cast<uint64_t*>(arg); }, &yields);
-  std::vector<int64_t> buf(600);
-  ctx->LoadSpan<int64_t>(a, buf.data(), buf.size());
+  std::vector<int64_t> buf(600, 5);
   // One yield per element, exactly as a scalar loop would fire.
+  ctx->LoadSpan<int64_t>(a, buf.data(), buf.size());
+  EXPECT_EQ(yields, buf.size());
+  yields = 0;
+  ctx->StoreSpan<int64_t>(a + 8, buf.data(), buf.size());
+  EXPECT_EQ(yields, buf.size());
+  yields = 0;
+  ctx->Fill<int64_t>(a + 16, 7, buf.size());
   EXPECT_EQ(yields, buf.size());
 }
 

@@ -70,6 +70,27 @@ TEST_F(SyncTest, SyncmemIsIdempotent) {
   EXPECT_EQ(ctx->metrics().bytes_to_memory_pool, bytes);
 }
 
+// An empty range is a no-op, as for FlushRange: nothing flushed, nothing
+// charged, at an aligned address and inside a page alike. (The last-page
+// computation used to underflow: Syncmem(ctx, 0, 0) flushed every dirty
+// page, and an unaligned address flushed the page containing it.)
+TEST_F(SyncTest, SyncmemOfEmptyRangeIsANoOp) {
+  auto ctx = ms_.CreateContext(Pool::kCompute);
+  const VAddr a = MakeDirtyPages(*ctx, 8);
+  const Nanos before = ctx->now();
+  const uint64_t epoch = ms_.translation_epoch();
+  ms_.Syncmem(*ctx, 0, 0);
+  ms_.Syncmem(*ctx, a, 0);
+  ms_.Syncmem(*ctx, a + 3 * kPage + 100, 0);
+  EXPECT_EQ(ctx->now(), before);
+  EXPECT_EQ(ctx->metrics().syncmem_pages, 0u);
+  EXPECT_EQ(ctx->metrics().bytes_to_memory_pool, 0u);
+  EXPECT_EQ(ms_.translation_epoch(), epoch);
+  for (int p = 0; p < 8; ++p) {
+    EXPECT_TRUE(ms_.compute_dirty(ms_.space().PageOf(a + p * kPage)));
+  }
+}
+
 TEST_F(SyncTest, FlushAllCacheMovesEverythingAndDrops) {
   auto ctx = ms_.CreateContext(Pool::kCompute);
   const VAddr a = MakeDirtyPages(*ctx, 10);
