@@ -147,12 +147,11 @@ Status PushdownRuntime::CheckHeartbeat(ddc::ExecutionContext& ctx,
   ms_->fabric().DrainQueueStats(ctx.metrics());
   // On success gave_up_at is the winning attempt's send time, so the
   // deadline judges one probe's round trip — retransmission backoff and
-  // outage waits never count against it. Queue backlog at that instant is
-  // excused (congestion is not death; see the no-injector path).
-  if (!out.ok ||
-      out.done - out.gave_up_at >
-          params.heartbeat_deadline_ns +
-              ms_->fabric().QueueBacklogNs(link, out.gave_up_at)) {
+  // outage waits never count against it. Queue backlog just before that
+  // send is excused (congestion is not death; see the no-injector path);
+  // the probe's own queue residency is not.
+  if (!out.ok || out.done - out.gave_up_at >
+                     params.heartbeat_deadline_ns + out.send_backlog_ns) {
     panicked_ = true;
     return RecoveryStatus(RecoveryFault::kUnreachable);
   }

@@ -75,6 +75,10 @@ struct RetryOutcome {
   bool ok = false;
   Nanos done = 0;
   Nanos gave_up_at = 0;
+  /// RetryRoundTripFromCompute only: queue backlog on the link just before
+  /// the winning attempt was sent, so it never includes that attempt's own
+  /// queue residency (the heartbeat deadline excuses exactly this).
+  Nanos send_backlog_ns = 0;
 };
 
 /// The one attempt loop behind every retried send (§3.2). Calls
@@ -118,8 +122,10 @@ inline RetryOutcome RetryRoundTripFromCompute(
     uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
     net::MessageKind req_kind, net::MessageKind resp_kind, RetryStats& stats,
     net::Link link) {
+  Nanos backlog = 0;
   const auto try_once = [&](Nanos t) {
     ++stats.attempts;
+    backlog = fabric.QueueBacklogNs(link, t);
     return fabric.TryRoundTripFromCompute(link, t, req_bytes, resp_bytes,
                                           handler_ns, req_kind, resp_kind);
   };
@@ -129,9 +135,12 @@ inline RetryOutcome RetryRoundTripFromCompute(
   };
   Nanos t = now;
   for (int round = 0; round < 16; ++round) {
-    const RetryOutcome out =
+    RetryOutcome out =
         RetryAttempts(fabric, policy, rng, t, link.dst, try_once, on_retry);
-    if (out.ok) return out;
+    if (out.ok) {
+      out.send_backlog_ns = backlog;
+      return out;
+    }
     t = out.gave_up_at;
     const Nanos heal = fabric.NextReachableAt(t, link.dst);
     if (heal == net::Fabric::kNeverHeals) break;

@@ -89,18 +89,25 @@ TEST(HeartbeatCongestionTest, IdleProbeSitsWellInsideTheDeadline) {
 TEST(HeartbeatCongestionTest, DeadlineStillFencesWhenNoBacklogExplainsIt) {
   // Shrink the deadline below one idle RTT: with zero backlog to excuse the
   // delay, the probe must panic — the congestion allowance never turns the
-  // deadline off.
+  // deadline off. A (fault-free) injector routes the probe through the
+  // retry path, whose backlog excuse is sampled before the winning send:
+  // the probe's own queue residency on an idle link is not backlog.
   sim::CostParams p = sim::CostParams::Default();
   p.heartbeat_deadline_ns = 1;
-  for (const net::Backend backend :
-       {net::Backend::kIdeal, net::Backend::kQueuedRdma}) {
-    MemorySystem ms(Config(), p, 32 << 20);
-    ms.fabric().set_backend(backend);
-    PushdownRuntime runtime(&ms);
-    auto caller = ms.CreateContext(Pool::kCompute);
-    EXPECT_TRUE(runtime.CheckHeartbeat(*caller).IsUnavailable())
-        << net::BackendToString(backend);
-    EXPECT_TRUE(runtime.panicked()) << net::BackendToString(backend);
+  for (const bool injector : {false, true}) {
+    for (const net::Backend backend :
+         {net::Backend::kIdeal, net::Backend::kQueuedRdma}) {
+      MemorySystem ms(Config(), p, 32 << 20);
+      ms.fabric().set_backend(backend);
+      net::FaultInjector inj(/*seed=*/5);
+      if (injector) ms.fabric().set_fault_injector(&inj);
+      PushdownRuntime runtime(&ms);
+      auto caller = ms.CreateContext(Pool::kCompute);
+      EXPECT_TRUE(runtime.CheckHeartbeat(*caller).IsUnavailable())
+          << net::BackendToString(backend) << " injector=" << injector;
+      EXPECT_TRUE(runtime.panicked())
+          << net::BackendToString(backend) << " injector=" << injector;
+    }
   }
 }
 
