@@ -128,6 +128,41 @@ void BM_SpanLoadsScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanLoadsScalar);
 
+// One B+-tree node snapshot per iteration, the shape of BTree::ReadNode:
+// hop to another cached page, then 4 header loads, a 32-word LoadSpan and
+// the closing version load. Entering a page costs one full dispatch; the
+// second access fills the context TLB and the rest are pinned hits.
+void PageHopLoads(benchmark::State& state, bool scalar) {
+  constexpr uint64_t kPages = 64;
+  ddc::MemorySystem ms(DdcCfg(4096), sim::CostParams::Default(), 256 << 20);
+  ms.set_scalar_datapath(scalar);
+  const ddc::VAddr a = ms.space().Alloc(kPages * kPage, "nodes");
+  ms.SeedData();
+  auto ctx = ms.CreateContext(ddc::Pool::kCompute);
+  for (uint64_t p = 0; p < kPages; ++p) ctx->Load<uint64_t>(a + p * kPage);
+  uint64_t words[32];
+  uint64_t page = 0;
+  for (auto _ : state) {
+    page = (page + 17) % kPages;  // never the previous page, never the next
+    const ddc::VAddr node = a + page * kPage;
+    uint64_t sum = ctx->Load<uint64_t>(node);
+    sum += ctx->Load<uint32_t>(node + 8);
+    sum += ctx->Load<uint32_t>(node + 12);
+    sum += ctx->Load<uint64_t>(node + 16);
+    ctx->LoadSpan<uint64_t>(node + 32, words, 32);
+    sum += ctx->Load<uint64_t>(node);
+    benchmark::DoNotOptimize(sum + words[31]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+void BM_PageHopLoads(benchmark::State& state) { PageHopLoads(state, false); }
+BENCHMARK(BM_PageHopLoads);
+// The same hops on the scalar datapath; CI gates BM_PageHopLoads against it.
+void BM_PageHopLoadsScalar(benchmark::State& state) {
+  PageHopLoads(state, true);
+}
+BENCHMARK(BM_PageHopLoadsScalar);
+
 void BM_SpanFill(benchmark::State& state) {
   ddc::MemorySystem ms(DdcCfg(4096), sim::CostParams::Default(), 256 << 20);
   const ddc::VAddr a = ms.space().Alloc(64 << 20, "d");

@@ -1,5 +1,7 @@
 #include "ddc/address_space.h"
 
+#include <bit>
+
 namespace teleport::ddc {
 
 std::string_view PlatformToString(Platform p) {
@@ -28,8 +30,9 @@ std::string_view CachePolicyToString(CachePolicy p) {
 
 AddressSpace::AddressSpace(uint64_t capacity_bytes, uint64_t page_size)
     : capacity_bytes_((capacity_bytes + page_size - 1) / page_size * page_size),
-      page_size_(page_size) {
-  TELEPORT_CHECK(page_size_ > 0 && (page_size_ & (page_size_ - 1)) == 0)
+      page_size_(page_size),
+      page_shift_(std::countr_zero(page_size)) {
+  TELEPORT_CHECK(std::has_single_bit(page_size_))
       << "page size must be a power of two";
   // Reserve the full capacity up front so that growth in Alloc() never
   // reallocates: host pointers handed out by HostPtr() stay valid for the

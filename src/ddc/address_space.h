@@ -59,15 +59,20 @@ class AddressSpace {
   uint64_t capacity_bytes() const { return capacity_bytes_; }
 
   /// Number of pages currently allocated (the size of the full page table).
-  uint64_t num_pages() const { return used_bytes_ / page_size_; }
+  uint64_t num_pages() const { return used_bytes_ >> page_shift_; }
 
-  PageId PageOf(VAddr addr) const { return addr / page_size_; }
+  // Translation is shift-and-mask: the page size is a power of two, and
+  // these run several times on every charged access.
+  PageId PageOf(VAddr addr) const { return addr >> page_shift_; }
+  uint64_t PageOffset(VAddr addr) const { return addr & (page_size_ - 1); }
+  VAddr PageStart(PageId page) const { return page << page_shift_; }
 
   const std::vector<Region>& regions() const { return regions_; }
 
  private:
   uint64_t capacity_bytes_;
   uint64_t page_size_;
+  int page_shift_;  ///< log2(page_size_)
   uint64_t used_bytes_ = 0;
   std::vector<std::byte> mem_;
   std::vector<Region> regions_;

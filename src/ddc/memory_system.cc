@@ -86,6 +86,75 @@ void LruList::Clear() {
   size_ = 0;
 }
 
+// --- ExecutionContext --------------------------------------------------------
+
+void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len, bool write) {
+  const AddressSpace& space = ms_->space();
+  PageId page = space.PageOf(addr);
+  const PageId last = space.PageOf(addr + len - 1);
+  uint64_t remaining = len;
+  VAddr cursor = addr;
+  for (; page <= last; ++page) {
+    const uint64_t in_page = std::min<uint64_t>(
+        remaining, space.page_size() - space.PageOffset(cursor));
+    switch (pool_) {
+      case Pool::kCompute:
+        switch (ms_->config().platform) {
+          case Platform::kLocal:
+            ms_->LocalTouch(*this, page, in_page, write);
+            break;
+          case Platform::kLinuxSsd:
+            ms_->LinuxSsdTouch(*this, page, in_page, write);
+            break;
+          case Platform::kBaseDdc:
+            ms_->ComputeTouch(*this, page, in_page, write);
+            break;
+        }
+        break;
+      case Pool::kMemory:
+        ms_->MemoryTouch(*this, page, in_page, write);
+        break;
+    }
+    cursor += in_page;
+    remaining -= in_page;
+  }
+  void* p = ms_->space().HostPtr(addr, len);
+  if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
+  return p;
+}
+
+void* ExecutionContext::SlowAccess(VAddr addr, uint64_t len, bool write) {
+  // Refill the context TLB only on the second consecutive miss to the same
+  // page: two misses declare sequential intent, while random patterns (hash
+  // probes) never pay the fill cost. The scalar datapath never fills one.
+  const PageId page = ms_->space().PageOf(addr + len - 1);
+  if (page != last_slow_page_ || ms_->scalar_datapath_) {
+    last_slow_page_ = page;
+    return AccessImpl(addr, len, write);
+  }
+  // Second miss: fill first. When the page's current state makes this
+  // access a plain hit, the pin charges exactly what the dispatch would
+  // (the PagePin contract), so the page is entered with one full dispatch,
+  // not two. Faults, upgrades, page-straddling accesses and pages outside
+  // a stream slot leave the pin short and take the dispatch and refill.
+  ms_->FillPin(*this, tlb_, page);
+  if (PinnedRunReady(tlb_, addr, len, write)) {
+    ChargePinnedRun(tlb_, len, 1, write);
+    if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
+    return tlb_.host + (addr - tlb_.v_lo);
+  }
+  void* p = AccessImpl(addr, len, write);
+  ms_->FillPin(*this, tlb_, page);
+  return p;
+}
+
+void* ExecutionContext::PinnedSlowAccess(PagePin& pin, VAddr addr,
+                                         uint64_t len, bool write) {
+  void* p = AccessImpl(addr, len, write);
+  ms_->FillPin(*this, pin, ms_->space().PageOf(addr + len - 1));
+  return p;
+}
+
 // --- MemorySystem ------------------------------------------------------------
 
 namespace {
@@ -159,16 +228,14 @@ const MemorySystem::PageState& MemorySystem::PS(PageId p) const {
   return pages_[p];
 }
 
-void MemorySystem::EnsurePageTables() {
+void MemorySystem::GrowPageTables() {
   const uint64_t n = space_.num_pages();
-  if (pages_.size() < n) {
-    pages_.resize(n);
-    for (ComputeNodeState& c : cnodes_) c.cache_lru.EnsureSize(n);
-    for (ShardState& sh : shards_) sh.pool_lru.EnsureSize(n);
-    // pages_ may have reallocated: every PageState pointer held by a pin is
-    // dangling. Unconditional (memory safety, not protocol).
-    InvalidateAllPins();
-  }
+  pages_.resize(n);
+  for (ComputeNodeState& c : cnodes_) c.cache_lru.EnsureSize(n);
+  for (ShardState& sh : shards_) sh.pool_lru.EnsureSize(n);
+  // pages_ may have reallocated: every PageState pointer held by a pin is
+  // dangling. Unconditional (memory safety, not protocol).
+  InvalidateAllPins();
 }
 
 void MemorySystem::SeedData() {
@@ -310,7 +377,7 @@ void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
       break;
   }
   const uint64_t page_size = params_.page_size;
-  pin.v_lo = static_cast<VAddr>(page) * page_size;
+  pin.v_lo = space_.PageStart(page);
   pin.v_hi = pin.v_lo + page_size - 1;  // used_bytes is page-aligned
   pin.host = static_cast<std::byte*>(space_.HostPtr(pin.v_lo, page_size));
   pin.page = page;
@@ -891,8 +958,8 @@ void MemorySystem::Syncmem(ExecutionContext& ctx, VAddr addr, uint64_t len) {
   if (len == 0) return;  // an empty range flushes nothing and costs nothing
   EnsurePageTables();
   const uint64_t page_size = params_.page_size;
-  const PageId first = addr / page_size;
-  const PageId last = (addr + len - 1) / page_size;
+  const PageId first = space_.PageOf(addr);
+  const PageId last = space_.PageOf(addr + len - 1);
   uint64_t flushed = 0;
   std::vector<uint64_t> per_shard(shards_.size(), 0);
   for (PageId p = first; p <= last && p < pages_.size(); ++p) {
@@ -950,9 +1017,9 @@ uint64_t MemorySystem::FlushRange(ExecutionContext& ctx, VAddr addr,
                                   uint64_t len, bool drop) {
   EnsurePageTables();
   if (len == 0) return 0;
-  const PageId first = addr / params_.page_size;
+  const PageId first = space_.PageOf(addr);
   const PageId last =
-      std::min<PageId>((addr + len - 1) / params_.page_size,
+      std::min<PageId>(space_.PageOf(addr + len - 1),
                        pages_.empty() ? 0 : pages_.size() - 1);
   uint64_t moved = 0;
   uint64_t transferred = 0;

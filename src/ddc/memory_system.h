@@ -274,10 +274,13 @@ class ExecutionContext {
                        bool write);
   /// Full dispatch plus opportunistic pin refill for the context TLB: the
   /// pin is (re)filled when the same page misses twice in a row, so random
-  /// access patterns do not pay the refill cost.
+  /// access patterns do not pay the refill cost. The second miss fills
+  /// first and is served from the pin when it validates. Out of line: it
+  /// runs once per page entry, and inlined into every Load/Store it slowed
+  /// their pinned hit path.
   void* SlowAccess(VAddr addr, uint64_t len, bool write);
   /// Full dispatch plus unconditional pin refill (cursors and spans declare
-  /// sequential intent).
+  /// sequential intent). Out of line like SlowAccess.
   void* PinnedSlowAccess(PagePin& pin, VAddr addr, uint64_t len, bool write);
   /// The one charged access behind Load/Store/ReadRange of contexts and
   /// cursors: the closed-form hit when `pin` covers the access, else the
@@ -757,7 +760,12 @@ class MemorySystem {
   PageState& PS(PageId p);
   const PageState& PS(PageId p) const;
 
-  void EnsurePageTables();
+  /// Sizes the page tables to the address space. On every touch, so the
+  /// common case is one inline compare; growth is out of line.
+  void EnsurePageTables() {
+    if (pages_.size() < space_.num_pages()) GrowPageTables();
+  }
+  void GrowPageTables();
 
   /// Charges the DRAM portion of a hit (sequential vs random split).
   void ChargeDram(ExecutionContext& ctx, PageId page, uint64_t len);
@@ -951,42 +959,6 @@ class MemorySystem {
   std::vector<PageId> flushed_pages_;
 };
 
-inline void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len,
-                                          bool write) {
-  const uint64_t page_size = ms_->space().page_size();
-  PageId page = addr / page_size;
-  const PageId last = (addr + len - 1) / page_size;
-  uint64_t remaining = len;
-  VAddr cursor = addr;
-  for (; page <= last; ++page) {
-    const uint64_t in_page =
-        std::min<uint64_t>(remaining, page_size - (cursor % page_size));
-    switch (pool_) {
-      case Pool::kCompute:
-        switch (ms_->config().platform) {
-          case Platform::kLocal:
-            ms_->LocalTouch(*this, page, in_page, write);
-            break;
-          case Platform::kLinuxSsd:
-            ms_->LinuxSsdTouch(*this, page, in_page, write);
-            break;
-          case Platform::kBaseDdc:
-            ms_->ComputeTouch(*this, page, in_page, write);
-            break;
-        }
-        break;
-      case Pool::kMemory:
-        ms_->MemoryTouch(*this, page, in_page, write);
-        break;
-    }
-    cursor += in_page;
-    remaining -= in_page;
-  }
-  void* p = ms_->space().HostPtr(addr, len);
-  if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
-  return p;
-}
-
 inline void ExecutionContext::ChargeCpu(uint64_t ops) {
   const double ratio = pool_ == Pool::kMemory
                            ? ms_->config().memory_pool_clock_ratio
@@ -1062,28 +1034,6 @@ inline void* ExecutionContext::TryPinned(PagePin& pin, VAddr addr,
   ChargePinnedRun(pin, len, 1, write);
   if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
   return pin.host + (addr - pin.v_lo);
-}
-
-inline void* ExecutionContext::SlowAccess(VAddr addr, uint64_t len,
-                                          bool write) {
-  void* p = AccessImpl(addr, len, write);
-  // Refill the context TLB only on the second consecutive miss to the same
-  // page: two misses declare sequential intent, while random patterns (hash
-  // probes) never pay the fill cost.
-  const PageId page = (addr + len - 1) / ms_->space().page_size();
-  if (page == last_slow_page_) {
-    ms_->FillPin(*this, tlb_, page);
-  } else {
-    last_slow_page_ = page;
-  }
-  return p;
-}
-
-inline void* ExecutionContext::PinnedSlowAccess(PagePin& pin, VAddr addr,
-                                                uint64_t len, bool write) {
-  void* p = AccessImpl(addr, len, write);
-  ms_->FillPin(*this, pin, (addr + len - 1) / ms_->space().page_size());
-  return p;
 }
 
 template <typename T, bool kWrite, typename MoveFn>

@@ -209,19 +209,19 @@ ddc::VAddr BTree::FindLeaf(ddc::ExecutionContext& ctx, uint64_t key) {
 BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
                                     ddc::VAddr node, uint64_t depth,
                                     uint64_t key, ddc::VAddr* slot) {
-  NodeView v = ReadNode(ctx, node);
+  const NodeView v = ReadNode(ctx, node);
   if (!v.is_leaf) {
     const int ci = ChildIndex(v, key);
     const ddc::VAddr child = v.words[static_cast<size_t>(ci * 2 + 1)];
     const SplitResult sr = InsertRec(ctx, child, depth + 1, key, slot);
     if (sr.right == 0) return {};
     // Insert (sep, right) after the child that split.
-    v = ReadNode(ctx, node);  // re-read: the child insert may have split us? no
-    std::vector<uint64_t> words = v.words;
+    const NodeView cur = ReadNode(ctx, node);  // re-read after the child
+    std::vector<uint64_t> words(cur.words.begin(), cur.words.end());
     const size_t at = static_cast<size_t>(ci + 1) * 2;
     words.insert(words.begin() + static_cast<ptrdiff_t>(at),
                  {sr.sep, sr.right});
-    const int newcount = v.count + 1;
+    const int newcount = cur.count + 1;
     if (newcount <= inner_cap_) {
       BeginWrite(ctx, node);
       ctx.StoreSpan<uint64_t>(node + kEntries + at * 8, words.data() + at,
@@ -246,7 +246,7 @@ BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
     ctx.Store<uint32_t>(node + kHdrCount, static_cast<uint32_t>(mid));
     // Scrub the vacated region: stale separators must not survive.
     ctx.Fill<uint64_t>(node + kEntries + static_cast<uint64_t>(mid) * 16, 0,
-                       static_cast<uint64_t>(v.count - mid) * 2);
+                       static_cast<uint64_t>(cur.count - mid) * 2);
     EndWrite(ctx, node);
     ++splits_;
     ++ctx.metrics().btree_splits;
@@ -258,7 +258,7 @@ BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
     *slot = node + kEntries + static_cast<uint64_t>(idx) * kRecordStride;
     return {};
   }
-  std::vector<uint64_t> words = v.words;
+  std::vector<uint64_t> words(v.words.begin(), v.words.end());
   words.insert(words.begin() + static_cast<ptrdiff_t>(idx) * 4,
                {key, 0, RecordMeta::Pack(0, false), 0});
   const int newcount = v.count + 1;
@@ -335,7 +335,7 @@ bool BTree::DeleteRec(ddc::ExecutionContext& ctx, ddc::VAddr node,
     const int idx = LowerBound(v, key);
     if (idx >= v.count || v.key(idx) != key) return false;
     *found = true;
-    std::vector<uint64_t> words = v.words;
+    std::vector<uint64_t> words(v.words.begin(), v.words.end());
     words.erase(words.begin() + static_cast<ptrdiff_t>(idx) * 4,
                 words.begin() + static_cast<ptrdiff_t>(idx + 1) * 4);
     BeginWrite(ctx, node);
@@ -399,7 +399,7 @@ void BTree::RebalanceChild(ddc::ExecutionContext& ctx, ddc::VAddr parent,
   };
   if (lv.count + rv.count <= cap) {
     // Merge right into left.
-    std::vector<uint64_t> words = lv.words;
+    std::vector<uint64_t> words(lv.words.begin(), lv.words.end());
     words.insert(words.end(), rv.words.begin(), rv.words.end());
     if (lv.is_leaf) {
       BeginWrite(ctx, left);
@@ -409,7 +409,7 @@ void BTree::RebalanceChild(ddc::ExecutionContext& ctx, ddc::VAddr parent,
     write_node(left, words, lv.count);
     FreeNode(ctx, right);
     // Drop the right node's separator entry from the parent.
-    std::vector<uint64_t> pw = pv.words;
+    std::vector<uint64_t> pw(pv.words.begin(), pv.words.end());
     pw.erase(pw.begin() + static_cast<ptrdiff_t>(ri) * 2,
              pw.begin() + static_cast<ptrdiff_t>(ri + 1) * 2);
     BeginWrite(ctx, parent);
@@ -429,16 +429,16 @@ void BTree::RebalanceChild(ddc::ExecutionContext& ctx, ddc::VAddr parent,
   }
   // Borrow: move one entry across the boundary toward the underfull side.
   if (lv.count < min_fill && rv.count > min_fill) {
-    std::vector<uint64_t> lw = lv.words;
-    std::vector<uint64_t> rw = rv.words;
+    std::vector<uint64_t> lw(lv.words.begin(), lv.words.end());
+    std::vector<uint64_t> rw(rv.words.begin(), rv.words.end());
     lw.insert(lw.end(), rw.begin(), rw.begin() + stride);
     rw.erase(rw.begin(), rw.begin() + stride);
     write_node(left, lw, lv.count);
     write_node(right, rw, rv.count);
     set_separator(ri, rw[0]);
   } else if (rv.count < min_fill && lv.count > min_fill) {
-    std::vector<uint64_t> lw = lv.words;
-    std::vector<uint64_t> rw = rv.words;
+    std::vector<uint64_t> lw(lv.words.begin(), lv.words.end());
+    std::vector<uint64_t> rw(rv.words.begin(), rv.words.end());
     rw.insert(rw.begin(), lw.end() - stride, lw.end());
     lw.erase(lw.end() - stride, lw.end());
     write_node(left, lw, lv.count);

@@ -126,13 +126,42 @@ class BTree {
   /// when `push_probes` is set, a local descend otherwise.
   ddc::VAddr FindLeaf(ddc::ExecutionContext& ctx, uint64_t key);
 
+  /// Entry words of one node snapshot. Snapshots are taken on every
+  /// descend, leaf re-read, commit validation and scan step, so they do not
+  /// allocate: a whole node of a default 4 KiB page (127 leaf quads or 254
+  /// inner pairs, 508 words) is held inline, and only larger pages spill
+  /// to the heap. The inline words are left uninitialized; ReadNode loads
+  /// every word it exposes.
+  class NodeWords {
+   public:
+    static constexpr size_t kInlineWords = (4096 - 32) / sizeof(uint64_t);
+
+    void resize(size_t n) {
+      size_ = n;
+      if (n > kInlineWords) heap_.resize(n);
+    }
+    size_t size() const { return size_; }
+    uint64_t* data() { return size_ > kInlineWords ? heap_.data() : inline_; }
+    const uint64_t* data() const {
+      return size_ > kInlineWords ? heap_.data() : inline_;
+    }
+    const uint64_t* begin() const { return data(); }
+    const uint64_t* end() const { return data() + size_; }
+    uint64_t operator[](size_t i) const { return data()[i]; }
+
+   private:
+    size_t size_ = 0;
+    uint64_t inline_[kInlineWords];
+    std::vector<uint64_t> heap_;
+  };
+
   /// Stable snapshot of one node (seqlock retry loop). Exposed for the
   /// scan path and tests.
   struct NodeView {
     bool is_leaf = false;
     uint64_t next = 0;  ///< next leaf (0 at the tail); 0 for inners
     /// Leaf: (key, value, meta, seq) quads. Inner: (separator, child) pairs.
-    std::vector<uint64_t> words;
+    NodeWords words;
     int count = 0;
     int stride_words() const { return is_leaf ? 4 : 2; }
     uint64_t key(int i) const {
@@ -181,6 +210,8 @@ class BTree {
   static constexpr uint64_t kHdrNext = 16;
   static constexpr uint64_t kEntries = 32;
   static constexpr uint64_t kInnerStride = 16;
+  static_assert(kEntries + NodeWords::kInlineWords * sizeof(uint64_t) == 4096,
+                "a 4 KiB node's entry region must fit a snapshot inline");
 
   ddc::VAddr AllocNode(ddc::ExecutionContext& ctx, bool leaf);
   void FreeNode(ddc::ExecutionContext& ctx, ddc::VAddr node);

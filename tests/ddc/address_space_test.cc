@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace teleport::ddc {
 namespace {
 
@@ -57,6 +59,21 @@ TEST(AddressSpaceTest, PageOf) {
   EXPECT_EQ(as.PageOf(4095), 0u);
   EXPECT_EQ(as.PageOf(4096), 1u);
   EXPECT_EQ(as.PageOf(12345), 3u);
+  // Translation is shift-and-mask; it must agree with division for every
+  // power-of-two page size, at random addresses.
+  Rng rng(0x9a6e);
+  for (uint64_t ps = 512; ps <= 64 * 1024; ps *= 2) {
+    AddressSpace space(64 * ps, ps);
+    space.Alloc(1 + rng.Uniform(5 * ps), "a");
+    space.Alloc(1 + rng.Uniform(7 * ps), "b");
+    EXPECT_EQ(space.num_pages(), space.used_bytes() / ps) << ps;
+    for (int i = 0; i < 1000; ++i) {
+      const VAddr a = rng.Next();
+      EXPECT_EQ(space.PageOf(a), a / ps) << ps << " " << a;
+      EXPECT_EQ(space.PageOffset(a), a % ps) << ps << " " << a;
+      EXPECT_EQ(space.PageStart(space.PageOf(a)), a / ps * ps) << ps;
+    }
+  }
 }
 
 TEST(AddressSpaceDeathTest, ExhaustionAborts) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -281,6 +282,139 @@ TEST(BulkAccessTest, PlainLoadStoreTlbIsInvisible) {
     const auto scalar = run(true);
     EXPECT_EQ(bulk.first, scalar.first) << "seed " << seed;
     EXPECT_EQ(bulk.second, scalar.second) << "seed " << seed;
+  }
+}
+
+// Records every coherence event, field by field, in arrival order.
+class EventRecorder : public CoherenceObserver {
+ public:
+  void OnCoherenceEvent(const CoherenceEvent& ev) override {
+    os_ << static_cast<int>(ev.kind) << ',' << ev.page << ',' << ev.write
+        << ',' << static_cast<int>(ev.mode) << ',' << ev.at << ','
+        << ev.epoch << ',' << ev.node << ';';
+  }
+  std::string str() const { return os_.str(); }
+
+ private:
+  std::ostringstream os_;
+};
+
+// A program of short same-page access groups on the plain context TLB, so
+// nearly every page entry takes the second-miss branch of SlowAccess: the
+// pin is filled first and serves the access when it validates, and the
+// full dispatch runs otherwise (faults, read-to-write upgrades, accesses
+// straddling into the page, memory-side accesses under every coherence
+// mode). Returns everything observable: loaded values, clocks, metrics,
+// the observer's event stream and, by draining both tiers through fresh
+// pages, the order in which the compute cache and the pool give up each
+// page (the replacement order the hits left behind).
+std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
+                                 CoherenceMode mode, bool observe,
+                                 uint64_t seed, bool scalar) {
+  constexpr uint64_t kDataPages = 16;
+  constexpr uint64_t kDrainPages = 16;
+  DdcConfig c;
+  c.platform = platform;
+  c.cache_policy = policy;
+  c.compute_cache_bytes = 4 * kPage;
+  c.memory_pool_bytes = 8 * kPage;
+  MemorySystem ms(c, sim::CostParams::Default(), 1 << 20);
+  if (scalar) ms.set_scalar_datapath(true);
+  const VAddr base = ms.space().Alloc(kDataPages * kPage, "data");
+  const VAddr drain = ms.space().Alloc(kDrainPages * kPage, "drain");
+  ms.SeedData();
+  EventRecorder events;
+  if (observe) ms.set_coherence_observer(&events);
+  const bool ddc = platform == Platform::kBaseDdc;
+  auto cc = ms.CreateContext(Pool::kCompute);
+  auto mc = ddc ? ms.CreateContext(Pool::kMemory) : nullptr;
+  std::ostringstream out;
+  Rng rng(seed);
+  bool session = false;
+  for (int group = 0; group < 600; ++group) {
+    if (ddc && rng.Bernoulli(0.05)) {
+      if (session) {
+        ms.EndPushdownSession();
+      } else {
+        ms.BeginPushdownSession(mode);
+      }
+      session = !session;
+    }
+    ExecutionContext& ctx = session && rng.Bernoulli(0.5) ? *mc : *cc;
+    const uint64_t index = rng.Uniform(kDataPages);
+    const VAddr page = base + index * kPage;
+    auto word = [&] { return page + rng.Uniform(kPage / 8) * 8; };
+    switch (rng.Uniform(4)) {
+      case 0:  // reads: the second is served by the freshly filled pin
+        for (uint64_t n = 2 + rng.Uniform(2); n > 0; --n) {
+          out << ctx.Load<int64_t>(word()) << ' ';
+        }
+        break;
+      case 1:  // read, then write: the second miss is an R->W upgrade
+        out << ctx.Load<int64_t>(word()) << ' ';
+        ctx.Store<int64_t>(word(), group);
+        out << ctx.Load<int64_t>(word()) << ' ';
+        break;
+      case 2:  // write first, then a short read range
+        ctx.Store<int64_t>(word(), -group);
+        out << *static_cast<const unsigned char*>(
+                   ctx.ReadRange(page + rng.Uniform(kPage - 64), 64))
+            << ' ';
+        break;
+      case 3:  // enter the page, then straddle into it from the previous one
+        out << ctx.Load<int64_t>(word()) << ' ';
+        if (index > 0) out << ctx.Load<int64_t>(page - 4) << ' ';
+        break;
+    }
+  }
+  if (session) ms.EndPushdownSession();
+  out << "| " << cc->now() << ' ' << cc->metrics().ToString();
+  if (mc != nullptr) {
+    out << " | " << mc->now() << ' ' << mc->metrics().ToString();
+  }
+  out << " | drain:";
+  for (uint64_t d = 0; d < kDrainPages; ++d) {
+    cc->Load<int64_t>(drain + d * kPage);
+    out << ' ';
+    for (uint64_t p = 0; p < kDataPages; ++p) {
+      const PageId id = ms.space().PageOf(base) + p;
+      out << (ms.compute_perm(id) != Perm::kNone) << ms.in_memory_pool(id);
+    }
+  }
+  out << " | events: " << events.str();
+  return out.str();
+}
+
+TEST(BulkAccessTest, PinFirstSecondMissRefillIsInvisible) {
+  struct Shape {
+    Platform platform;
+    std::vector<CoherenceMode> modes;  // sessions only exist on BaseDdc
+  };
+  const Shape shapes[] = {
+      {Platform::kLocal, {CoherenceMode::kMesi}},
+      {Platform::kLinuxSsd, {CoherenceMode::kMesi}},
+      {Platform::kBaseDdc,
+       {CoherenceMode::kMesi, CoherenceMode::kPso,
+        CoherenceMode::kWeakOrdering, CoherenceMode::kNone}},
+  };
+  for (const Shape& shape : shapes) {
+    for (const CachePolicy policy :
+         {CachePolicy::kLru, CachePolicy::kFifo, CachePolicy::kClock}) {
+      for (const CoherenceMode mode : shape.modes) {
+        for (const bool observe : {false, true}) {
+          for (const uint64_t seed : {5u, 6u}) {
+            EXPECT_EQ(RunSecondMissProgram(shape.platform, policy, mode,
+                                           observe, seed, /*scalar=*/false),
+                      RunSecondMissProgram(shape.platform, policy, mode,
+                                           observe, seed, /*scalar=*/true))
+                << PlatformToString(shape.platform) << ' '
+                << CachePolicyToString(policy) << ' '
+                << CoherenceModeToString(mode) << " observe=" << observe
+                << " seed=" << seed;
+          }
+        }
+      }
+    }
   }
 }
 

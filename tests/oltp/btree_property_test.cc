@@ -1,6 +1,7 @@
-// Satellite: B+-tree structural property test. Random insert/delete
-// programs with tiny node capacities (so every batch crosses page
-// boundaries through splits and merges) are replayed against a std::map
+// B+-tree structural property test. Random insert/delete programs with
+// tiny node capacities (so every batch crosses page boundaries through
+// splits and merges), and with page-derived capacities at and past the
+// inline node-snapshot bound, are replayed against a std::map
 // oracle: after every batch the tree must audit clean — sorted keys,
 // uniform leaf depth, fill-factor bounds, consistent leaf chain — and its
 // in-order digest must equal the digest folded over the oracle. The whole
@@ -8,6 +9,7 @@
 // (TELEPORT_SCALAR_DATAPATH equivalent via set_scalar_datapath) and must
 // be bit-identical between them, content *and* virtual time.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,11 +35,26 @@ struct Scale {
   uint64_t key_range;
   int batches;
   int ops_per_batch;
+  uint64_t page_bytes = kPage;
+  // Entry caps; 0 derives them from the page size. The default tiny caps
+  // force deep trees on small key sets, so every batch splits and merges.
+  int max_leaf = 6;
+  int max_inner = 5;
 };
 
+constexpr int kInlineLeaf = BTree::NodeWords::kInlineWords / 4;
+constexpr int kInlineInner = BTree::NodeWords::kInlineWords / 2;
+
 constexpr Scale kScales[] = {
-    {64, 4, 48},    // small: shallow tree, heavy churn on few leaves
-    {512, 6, 96},   // large: multi-level tree, splits and merges at depth
+    {64, 4, 48},   // small: shallow tree, heavy churn on few leaves
+    {512, 6, 96},  // large: multi-level tree, splits and merges at depth
+    // Page-derived capacities of a 4 KiB page: full nodes fill the inline
+    // snapshot storage exactly.
+    {2048, 3, 400, kPage, 0, 0},
+    // A larger page with caps at the inline bound: still inline.
+    {2048, 3, 400, 2 * kPage, kInlineLeaf, kInlineInner},
+    // Page-derived capacities of an 8 KiB page: snapshots spill to the heap.
+    {2048, 3, 400, 2 * kPage, 0, 0},
 };
 
 struct Outcome {
@@ -66,18 +83,25 @@ void RunProgram(uint64_t seed, const Scale& scale, bool scalar,
                 Outcome* out) {
   ddc::DdcConfig cfg;
   cfg.platform = ddc::Platform::kBaseDdc;
-  cfg.compute_cache_bytes = 64 * kPage;
-  cfg.memory_pool_bytes = 4096 * kPage;
-  ddc::MemorySystem ms(cfg, sim::CostParams::Default(), 32 << 20);
+  cfg.compute_cache_bytes = 64 * scale.page_bytes;
+  cfg.memory_pool_bytes = 4096 * scale.page_bytes;
+  sim::CostParams params = sim::CostParams::Default();
+  params.page_size = scale.page_bytes;
+  ddc::MemorySystem ms(cfg, params, 32 << 20);
   ms.set_scalar_datapath(scalar);
   auto ctx = ms.CreateContext(ddc::Pool::kCompute);
 
   oltp::BTreeOptions opts;
   opts.arena_pages = 768;
-  opts.max_leaf_entries = 6;   // tiny caps force deep trees on small key
-  opts.max_inner_entries = 5;  // sets: every batch splits and merges
+  opts.max_leaf_entries = scale.max_leaf;
+  opts.max_inner_entries = scale.max_inner;
   BTree tree(&ms, *ctx, opts);
   ms.SeedData();
+  // Full nodes fit the inline snapshot storage unless the page is larger
+  // than 4 KiB and the caps are derived from it.
+  const bool spills = scale.page_bytes > kPage && scale.max_leaf == 0;
+  EXPECT_EQ(tree.leaf_capacity() > kInlineLeaf, spills);
+  EXPECT_EQ(tree.inner_capacity() > kInlineInner, spills);
 
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> oracle;
   Rng rng(Mix64(seed) ^ 0xb7ee);
@@ -133,7 +157,10 @@ void RunProgram(uint64_t seed, const Scale& scale, bool scalar,
     EXPECT_EQ(tree.height(*ctx), 1u) << "empty tree must collapse to a "
                                         "single root leaf";
   }
-  for (uint64_t key = 0; key < 40; ++key) {
+  // Regrow past one leaf, so even page-sized nodes end at height 2.
+  const uint64_t regrow =
+      std::max<uint64_t>(40, 2 * static_cast<uint64_t>(tree.leaf_capacity()));
+  for (uint64_t key = 0; key < regrow; ++key) {
     tree.Insert(*ctx, key, Mix64(key), RecordMeta::Pack(0, true));
     oracle[key] = {Mix64(key), RecordMeta::Pack(0, true)};
   }
@@ -154,7 +181,7 @@ TEST(BTreePropertyTest, RandomProgramsMatchOracleOnBothDatapaths) {
     for (const Scale& scale : kScales) {
       Outcome bulk;
       RunProgram(seed, scale, /*scalar=*/false, &bulk);
-      EXPECT_GT(bulk.splits, 0u) << "caps this small must split";
+      EXPECT_GT(bulk.splits, 0u) << "every scale's key set must split";
       EXPECT_GT(bulk.merges, 0u) << "the drain phase must merge";
       EXPECT_GT(bulk.height, 1u) << "the program must have grown the tree";
 
