@@ -123,35 +123,41 @@ void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len, bool write) {
   return p;
 }
 
-void* ExecutionContext::SlowAccess(VAddr addr, uint64_t len, bool write) {
-  // Refill the context TLB only on the second consecutive miss to the same
-  // page: two misses declare sequential intent, while random patterns (hash
-  // probes) never pay the fill cost. The scalar datapath never fills one.
+void* ExecutionContext::EnterPinFirst(VAddr addr, uint64_t len, bool write) {
+  // Fill first. When the page's current state makes this access a plain
+  // hit, the pin's bookkeeping plus the real DRAM charge is exactly what
+  // the Touch dispatch would charge (the PagePin contract), and the slot
+  // ChargeDram leaves the page in is the one the pin keeps. Faults,
+  // upgrades and accesses straddling into the page empty the pin and
+  // dispatch; the next access to the page enters pin-first again.
   const PageId page = ms_->space().PageOf(addr + len - 1);
-  if (page != last_slow_page_ || ms_->scalar_datapath_) {
-    last_slow_page_ = page;
-    return AccessImpl(addr, len, write);
+  if (ms_->FillPin(*this, tlb_, page)) {
+    if (addr >= tlb_.v_lo && (write ? tlb_.write_ok : tlb_.read_ok)) {
+      ApplyPinHits(tlb_, 1, write);
+      tlb_.stream_slot = ms_->ChargeDram(*this, page, len);
+      if (tlb_.notify) NotifyPinned(tlb_, write);
+      if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
+      return tlb_.host + (addr - tlb_.v_lo);
+    }
+    tlb_.Empty();
   }
-  // Second miss: fill first. When the page's current state makes this
-  // access a plain hit, the pin charges exactly what the dispatch would
-  // (the PagePin contract), so the page is entered with one full dispatch,
-  // not two. Faults, upgrades, page-straddling accesses and pages outside
-  // a stream slot leave the pin short and take the dispatch and refill.
-  ms_->FillPin(*this, tlb_, page);
-  if (PinnedRunReady(tlb_, addr, len, write)) {
-    ChargePinnedRun(tlb_, len, 1, write);
-    if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
-    return tlb_.host + (addr - tlb_.v_lo);
-  }
-  void* p = AccessImpl(addr, len, write);
-  ms_->FillPin(*this, tlb_, page);
-  return p;
+  return AccessImpl(addr, len, write);
 }
 
 void* ExecutionContext::PinnedSlowAccess(PagePin& pin, VAddr addr,
                                          uint64_t len, bool write) {
   void* p = AccessImpl(addr, len, write);
-  ms_->FillPin(*this, pin, ms_->space().PageOf(addr + len - 1));
+  const PageId page = ms_->space().PageOf(addr + len - 1);
+  if (ms_->FillPin(*this, pin, page)) {
+    // The pin lives only while the page holds a stream slot. The dispatch
+    // charged this page last, so it normally does.
+    PageId* slot = std::find(streams_, streams_ + kStreams, page);
+    if (slot != streams_ + kStreams) {
+      pin.stream_slot = slot;
+    } else {
+      pin.Empty();
+    }
+  }
   return p;
 }
 
@@ -277,15 +283,15 @@ void MemorySystem::SeedData() {
   }
 }
 
-void MemorySystem::ChargeDram(ExecutionContext& ctx, PageId page,
-                              uint64_t len) {
+PageId* MemorySystem::ChargeDram(ExecutionContext& ctx, PageId page,
+                                 uint64_t len) {
   const Nanos byte_cost = static_cast<Nanos>(
       static_cast<double>(len) * params_.dram_seq_ns_per_byte);
   // Within a tracked stream's current page: prefetched, cheap.
   for (PageId& s : ctx.streams_) {
     if (page == s) {
       ctx.clock_.Advance(params_.dram_seq_access_ns + byte_cost);
-      return;
+      return &s;
     }
   }
   // Advancing a stream to its next page: one row-miss / TLB fill.
@@ -293,100 +299,98 @@ void MemorySystem::ChargeDram(ExecutionContext& ctx, PageId page,
     if (s != kNoPage && page == s + 1) {
       s = page;
       ctx.clock_.Advance(params_.dram_random_access_ns + byte_cost);
-      return;
+      return &s;
     }
   }
   // Genuinely random access: row miss, and it claims a stream slot.
-  ctx.streams_[ctx.stream_clock_] = page;
+  PageId* slot = &ctx.streams_[ctx.stream_clock_];
+  *slot = page;
   ctx.stream_clock_ = (ctx.stream_clock_ + 1) % ExecutionContext::kStreams;
   ctx.clock_.Advance(params_.dram_random_access_ns + byte_cost);
+  return slot;
 }
 
-void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
-  pin.Reset();
-  if (scalar_datapath_) return;  // pins never validate: pure scalar dispatch
-  if (page >= pages_.size()) return;
-  // The closed-form charge replays ChargeDram's sequential branch, which is
-  // only taken while the page occupies one of the context's stream slots.
-  PageId* slot = nullptr;
-  for (PageId& s : ctx.streams_) {
-    if (s == page) {
-      slot = &s;
-      break;
-    }
+bool MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
+  // Pins never validate on the scalar datapath: pure per-access dispatch.
+  if (scalar_datapath_ || page >= pages_.size()) {
+    pin.Empty();
+    return false;
   }
-  if (slot == nullptr) return;
   PageState& s = pages_[page];
+  // What a hit on the page may do, and the bookkeeping it owes. The
+  // defaults are LocalTouch's: DRAM only, no counters, no replacement.
+  Perm perm = Perm::kWrite;
+  uint64_t* hit_counter = nullptr;
+  bool* dirty_flag = nullptr;
+  bool* touched_flag = nullptr;
+  LruList* lru_list = nullptr;
+  bool* ref_bit = nullptr;
+  bool pool_side = false;
   switch (ctx.pool_) {
     case Pool::kCompute:
-      switch (config_.platform) {
-        case Platform::kLocal:
-          // LocalTouch charges DRAM only: no counters, no replacement.
-          pin.read_ok = pin.write_ok = true;
-          break;
-        case Platform::kLinuxSsd:
-          if (s.compute_perm == Perm::kNone) return;
-          pin.read_ok = true;
-          // A write to a read-only page takes the upgrade path: not a hit.
-          pin.write_ok = s.compute_perm == Perm::kWrite;
-          pin.hit_counter = &ctx.metrics_.cache_hits;
-          pin.dirty_flag = &s.compute_dirty;
-          break;
-        case Platform::kBaseDdc:
-          if (s.compute_perm == Perm::kNone) return;
-          // A page cached by another client takes the migration path.
-          if (s.owner != static_cast<uint8_t>(ctx.node_)) return;
-          pin.read_ok = true;
-          pin.write_ok = s.compute_perm == Perm::kWrite;
-          pin.hit_counter = &ctx.metrics_.cache_hits;
-          pin.dirty_flag = &s.compute_dirty;
-          pin.notify = observer_ != nullptr;
-          break;
+      if (config_.platform == Platform::kLocal) break;
+      perm = s.compute_perm;
+      // A page cached by another client takes the migration path.
+      if (config_.platform == Platform::kBaseDdc &&
+          s.owner != static_cast<uint8_t>(ctx.node_)) {
+        perm = Perm::kNone;
       }
-      if (config_.platform != Platform::kLocal) {
-        switch (config_.cache_policy) {
-          case CachePolicy::kLru:
-            pin.lru_kind = 1;
-            pin.lru_list = &cnodes_[static_cast<size_t>(ctx.node_)].cache_lru;
-            break;
-          case CachePolicy::kFifo:
-            break;  // hits do not promote
-          case CachePolicy::kClock:
-            pin.lru_kind = 2;
-            pin.ref_bit = &s.ref_bit;
-            break;
-        }
+      hit_counter = &ctx.metrics_.cache_hits;
+      dirty_flag = &s.compute_dirty;
+      switch (config_.cache_policy) {
+        case CachePolicy::kLru:
+          lru_list = &cnodes_[static_cast<size_t>(ctx.node_)].cache_lru;
+          break;
+        case CachePolicy::kFifo:
+          break;  // hits do not promote
+        case CachePolicy::kClock:
+          ref_bit = &s.ref_bit;
+          break;
       }
       break;
     case Pool::kMemory:
-      if (!s.in_memory_pool) return;
-      if (pushdown_active_ && coherence_mode_ != CoherenceMode::kNone) {
-        if (s.temp_perm == Perm::kNone) return;
-        pin.read_ok = true;
-        pin.write_ok = s.temp_perm == Perm::kWrite;
-      } else {
-        pin.read_ok = pin.write_ok = true;
+      if (!s.in_memory_pool) {
+        perm = Perm::kNone;
+      } else if (pushdown_active_ &&
+                 coherence_mode_ != CoherenceMode::kNone) {
+        perm = s.temp_perm;
       }
-      pin.hit_counter = &ctx.metrics_.memory_pool_hits;
-      pin.dirty_flag = &s.mem_dirty;
-      if (pushdown_active_) pin.touched_flag = &s.temp_touched;
-      pin.lru_kind = 1;  // MemoryTouch promotes unconditionally
-      pin.lru_list = &shards_[static_cast<size_t>(ShardOf(page))].pool_lru;
-      pin.notify = observer_ != nullptr;
-      pin.pool_side = true;
+      hit_counter = &ctx.metrics_.memory_pool_hits;
+      dirty_flag = &s.mem_dirty;
+      if (pushdown_active_) touched_flag = &s.temp_touched;
+      // MemoryTouch promotes unconditionally.
+      lru_list = &shards_[static_cast<size_t>(ShardOf(page))].pool_lru;
+      pool_side = true;
       break;
+  }
+  // Not a hit at all (a fault or a migration). A write to a read-only page
+  // is not one either: it takes the upgrade path (write_ok below).
+  if (perm == Perm::kNone) {
+    pin.Empty();
+    return false;
   }
   const uint64_t page_size = params_.page_size;
   pin.v_lo = space_.PageStart(page);
   pin.v_hi = pin.v_lo + page_size - 1;  // used_bytes is page-aligned
-  pin.host = static_cast<std::byte*>(space_.HostPtr(pin.v_lo, page_size));
-  pin.page = page;
-  pin.stream_slot = slot;
-  pin.seq_ns = params_.dram_seq_access_ns;
-  pin.ns_per_byte = params_.dram_seq_ns_per_byte;
   pin.map_epoch = mapping_epoch_;
   pin.page_epoch = s.tlb_epoch;
   pin.page_epoch_ptr = &s.tlb_epoch;
+  pin.host = static_cast<std::byte*>(space_.HostPtr(pin.v_lo, page_size));
+  pin.page = page;
+  pin.stream_slot = nullptr;
+  pin.read_ok = true;
+  pin.write_ok = perm == Perm::kWrite;
+  // Only the kBaseDdc touches report access events.
+  pin.notify = observer_ != nullptr && config_.platform == Platform::kBaseDdc;
+  pin.pool_side = pool_side;
+  pin.dirty_flag = dirty_flag;
+  pin.touched_flag = touched_flag;
+  pin.lru_list = lru_list;
+  pin.ref_bit = ref_bit;
+  pin.hit_counter = hit_counter;
+  pin.seq_ns = params_.dram_seq_access_ns;
+  pin.ns_per_byte = params_.dram_seq_ns_per_byte;
+  return true;
 }
 
 void MemorySystem::LocalTouch(ExecutionContext& ctx, PageId page, uint64_t len,

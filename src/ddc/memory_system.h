@@ -26,7 +26,7 @@ class Cursor;
 
 /// Intrusive-by-index LRU list over page ids. List surgery is inline:
 /// it sits on the hit path of every charged access (directly or via the
-/// pinned fast path's move-to-front-if-needed).
+/// pinned fast path's move-to-front).
 class LruList {
  public:
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -56,14 +56,21 @@ class LruList {
     in_list_[p] = 0;
     --size_;
   }
+  /// Promotes a listed page to most-recently-used. The head returns at
+  /// once (a structural no-op, so the recency order is exact); any other
+  /// page is relinked in place, without PushFront's size check.
   void MoveToFront(PageId p) {
-    Remove(p);
-    PushFront(p);
+    TELEPORT_DCHECK(Contains(p));
+    if (p == head_) return;
+    const uint32_t pr = prev_[p];  // not the head, so it has a predecessor
+    const uint32_t nx = next_[p];
+    next_[pr] = nx;
+    if (nx != kNil) prev_[nx] = pr; else tail_ = pr;
+    prev_[p] = kNil;
+    next_[p] = head_;
+    prev_[head_] = static_cast<uint32_t>(p);
+    head_ = static_cast<uint32_t>(p);
   }
-  /// Most-recently-used element; kNil if empty. The pinned fast path
-  /// skips MoveToFront when the page is already at the front, which
-  /// preserves the exact recency order at a fraction of the cost.
-  PageId Front() const { return head_; }
   /// Least-recently-used element; kNil if empty.
   PageId Back() const { return tail_; }
   size_t size() const { return size_; }
@@ -100,8 +107,11 @@ class LruList {
 ///  - `*stream_slot` must still equal `page`: the scalar cost model charges
 ///    the cheap sequential rate only while the page occupies one of the
 ///    context's stream trackers, and interleaved random accesses can evict
-///    it. A mismatch falls back to the full dispatch, which re-charges
-///    exactly what the scalar path would.
+///    it. A mismatch falls back to the miss path, which re-charges exactly
+///    what the scalar path would.
+///
+/// A pin whose interval is non-empty always carries its stream slot: a
+/// fill that does not end in a charged access empties the interval.
 ///
 /// The raw pointers (page state flags, metrics counter, LRU list) stay valid
 /// between wholesale shootdowns because the page table only grows — and
@@ -124,16 +134,22 @@ struct PagePin {
   bool write_ok = false;
   bool notify = false;     ///< observer attached at fill time
   bool pool_side = false;  ///< kMemoryAccess (vs kComputeAccess) events
-  uint8_t lru_kind = 0;    ///< 0 none, 1 list move-to-front, 2 CLOCK ref bit
   bool* dirty_flag = nullptr;    ///< compute_dirty / mem_dirty on write
   bool* touched_flag = nullptr;  ///< temp_touched while a session is active
-  bool* ref_bit = nullptr;       ///< CLOCK reference bit (lru_kind == 2)
-  uint64_t* hit_counter = nullptr;  ///< cache_hits / memory_pool_hits
+  /// Replacement on a hit: move-to-front on `lru_list` (LRU cache, pool),
+  /// else set `*ref_bit` (CLOCK), else nothing (FIFO, Local).
   LruList* lru_list = nullptr;
+  bool* ref_bit = nullptr;
+  uint64_t* hit_counter = nullptr;  ///< cache_hits / memory_pool_hits
   Nanos seq_ns = 0;                 ///< per-access sequential base cost
   double ns_per_byte = 0;
 
-  void Reset() { *this = PagePin{}; }
+  /// Invalidates the pin by emptying its interval; no other field is read
+  /// until a fill writes all of them again.
+  void Empty() {
+    v_lo = 1;
+    v_hi = 0;
+  }
 };
 
 /// A simulated thread of execution placed in one resource pool.
@@ -267,33 +283,44 @@ class ExecutionContext {
   /// but without charging; used by the span batchers).
   bool PinnedRunReady(const PagePin& pin, VAddr addr, uint64_t len,
                       bool write) const;
+  /// The hit-side bookkeeping of `n` scalar hits on the pinned page: hit
+  /// counter, replacement (LRU move-to-front or CLOCK reference bit) and,
+  /// on writes, the dirty/touched flags. Everything a plain-hit Touch does
+  /// besides the DRAM charge and the access event.
+  void ApplyPinHits(const PagePin& pin, uint64_t n, bool write);
+  /// Reports one pinned access to the observer at the current time.
+  void NotifyPinned(const PagePin& pin, bool write);
   /// Charges `n` identical same-page hit accesses of `len` bytes against a
   /// valid pin: the closed-form equivalent of n ChargeDram sequential hits
   /// plus the per-hit bookkeeping (metrics, dirty bits, LRU, events).
   void ChargePinnedRun(const PagePin& pin, uint64_t len, uint64_t n,
                        bool write);
-  /// Full dispatch plus opportunistic pin refill for the context TLB: the
-  /// pin is (re)filled when the same page misses twice in a row, so random
-  /// access patterns do not pay the refill cost. The second miss fills
-  /// first and is served from the pin when it validates. Out of line: it
-  /// runs once per page entry, and inlined into every Load/Store it slowed
-  /// their pinned hit path.
-  void* SlowAccess(VAddr addr, uint64_t len, bool write);
+  /// Pin-first page entry for the context TLB: fills `tlb_` for the page
+  /// first and, when the access is a plain hit on it, charges the pin's
+  /// hit bookkeeping plus the real ChargeDram (whose stream slot the pin
+  /// keeps), so the pin is live for the accesses that follow. Otherwise
+  /// (fault, R->W upgrade, straddle, scalar datapath) it empties the pin
+  /// and takes the full dispatch. Out of line: it runs once per page
+  /// entry, and inlined into every Load/Store it slowed their pinned hit
+  /// path.
+  void* EnterPinFirst(VAddr addr, uint64_t len, bool write);
   /// Full dispatch plus unconditional pin refill (cursors and spans declare
-  /// sequential intent). Out of line like SlowAccess.
+  /// sequential intent). Out of line like EnterPinFirst.
   void* PinnedSlowAccess(PagePin& pin, VAddr addr, uint64_t len, bool write);
   /// The one charged access behind Load/Store/ReadRange of contexts and
   /// cursors: the closed-form hit when `pin` covers the access, else the
-  /// full dispatch with an eager (PinnedSlowAccess) or two-miss (SlowAccess,
-  /// context TLB only) refill. Forced inline: it is the body of every
-  /// scalar access, and an out-of-line copy costs a call per access.
+  /// eager dispatch-then-refill (PinnedSlowAccess: cursors and spans, whose
+  /// cold, fault-heavy streams would mostly fail a pin-first probe) or the
+  /// pin-first entry (EnterPinFirst, context TLB only). Forced inline: it
+  /// is the body of every scalar access, and an out-of-line copy costs a
+  /// call per access.
   [[gnu::always_inline]] void* PinnedAccess(PagePin& pin, VAddr addr,
                                             uint64_t len, bool write,
                                             bool eager) {
     void* p = TryPinned(pin, addr, len, write);
     if (p != nullptr) return p;
     return eager ? PinnedSlowAccess(pin, addr, len, write)
-                 : SlowAccess(addr, len, write);
+                 : EnterPinFirst(addr, len, write);
   }
   /// The extent walker: walks `count` elements of T from `addr` through the
   /// context TLB, charging each same-page run in closed form and each other
@@ -311,7 +338,6 @@ class ExecutionContext {
   sim::Metrics metrics_;
   /// The context's one-entry translation cache (see PagePin).
   PagePin tlb_;
-  PageId last_slow_page_ = kNoPage;
   /// Recently touched pages, one per hardware-tracked stream: an access to
   /// a tracked page (or its successor) is stream-like and cheap, anything
   /// else pays the DRAM row-miss cost. Modeling several streams matters
@@ -767,8 +793,9 @@ class MemorySystem {
   }
   void GrowPageTables();
 
-  /// Charges the DRAM portion of a hit (sequential vs random split).
-  void ChargeDram(ExecutionContext& ctx, PageId page, uint64_t len);
+  /// Charges the DRAM portion of a hit (sequential vs random split) and
+  /// returns the stream slot of `ctx` that now holds `page`.
+  PageId* ChargeDram(ExecutionContext& ctx, PageId page, uint64_t len);
 
   // Fault paths.
   void ComputeTouch(ExecutionContext& ctx, PageId page, uint64_t len,
@@ -882,10 +909,12 @@ class MemorySystem {
   }
 
   /// Fills `pin` for `page` iff the page's *current* state makes every
-  /// covered access a plain hit chargeable in closed form (see PagePin).
-  /// Leaves the pin invalid otherwise. Reads state only — a fill never
-  /// advances time, touches metrics, or changes page state.
-  void FillPin(ExecutionContext& ctx, PagePin& pin, PageId page);
+  /// covered access a plain hit chargeable in closed form (see PagePin),
+  /// and returns whether it did; empties the pin otherwise. Every field but
+  /// `stream_slot` is written: the caller sets it from the DRAM charge that
+  /// put the page in a stream slot, or empties the pin. Reads state only —
+  /// a fill never advances time, touches metrics, or changes page state.
+  bool FillPin(ExecutionContext& ctx, PagePin& pin, PageId page);
 
   /// One compute-pool client's cache state. Every client has its own DRAM
   /// of `compute_cache_bytes` and its own replacement order.
@@ -972,32 +1001,42 @@ inline void ExecutionContext::ChargeCpu(uint64_t ops) {
 
 inline bool ExecutionContext::PinnedRunReady(const PagePin& pin, VAddr addr,
                                              uint64_t len, bool write) const {
-  // Interval first: a default pin has v_lo > v_hi, so the empty pin fails
-  // here before any pointer is examined. The mapping-epoch check guards
-  // every raw pointer in the pin (page-table growth bumps it); only then
-  // may the page's own shootdown counter be dereferenced.
-  return addr >= pin.v_lo && addr + len - 1 <= pin.v_hi &&
-         pin.map_epoch == ms_->mapping_epoch_ &&
+  // Interval first: an empty pin has v_lo > v_hi, so it fails here before
+  // any pointer is examined. The mapping-epoch check guards every raw
+  // pointer in the pin (page-table growth bumps it); only then may the
+  // page's own shootdown counter be dereferenced.
+  if (addr < pin.v_lo || addr + len - 1 > pin.v_hi) return false;
+  TELEPORT_DCHECK(pin.stream_slot != nullptr)
+      << "pin on page " << pin.page << " has an interval but no stream slot";
+  return pin.map_epoch == ms_->mapping_epoch_ &&
          (write ? pin.write_ok : pin.read_ok) &&
          *pin.stream_slot == pin.page &&
          *pin.page_epoch_ptr == pin.page_epoch;
 }
 
-inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
-                                              uint64_t n, bool write) {
-  // Exactly the hit-side bookkeeping of n scalar Touch calls.
+inline void ExecutionContext::ApplyPinHits(const PagePin& pin, uint64_t n,
+                                           bool write) {
   if (pin.hit_counter != nullptr) *pin.hit_counter += n;
-  if (pin.lru_kind == 1) {
-    // MoveToFront of the front element is a structural no-op; skipping it
-    // preserves the exact recency order.
-    if (pin.lru_list->Front() != pin.page) pin.lru_list->MoveToFront(pin.page);
-  } else if (pin.lru_kind == 2) {
+  if (pin.lru_list != nullptr) {
+    pin.lru_list->MoveToFront(pin.page);
+  } else if (pin.ref_bit != nullptr) {
     *pin.ref_bit = true;  // CLOCK: idempotent
   }
   if (write) {
     if (pin.dirty_flag != nullptr) *pin.dirty_flag = true;
     if (pin.touched_flag != nullptr) *pin.touched_flag = true;
   }
+}
+
+inline void ExecutionContext::NotifyPinned(const PagePin& pin, bool write) {
+  ms_->Notify(pin.pool_side ? CoherenceEvent::Kind::kMemoryAccess
+                            : CoherenceEvent::Kind::kComputeAccess,
+              pin.page, write, clock_.now());
+}
+
+inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
+                                              uint64_t n, bool write) {
+  ApplyPinHits(pin, n, write);
   // ChargeDram's sequential branch, in closed form.
   const Nanos per =
       pin.seq_ns +
@@ -1008,29 +1047,16 @@ inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
   }
   // With an observer attached every access reports its own event at its own
   // timestamp, so the event stream stays identical to the scalar path.
-  const auto kind = pin.pool_side ? CoherenceEvent::Kind::kMemoryAccess
-                                  : CoherenceEvent::Kind::kComputeAccess;
   for (uint64_t i = 0; i < n; ++i) {
     clock_.Advance(per);
-    ms_->Notify(kind, pin.page, write, clock_.now());
+    NotifyPinned(pin, write);
   }
 }
 
 inline void* ExecutionContext::TryPinned(PagePin& pin, VAddr addr,
                                          uint64_t len, bool write) {
-  if (!PinnedRunReady(pin, addr, len, write)) {
-    // A pin that still covers `addr` but failed validation may be a
-    // casualty of a wholesale shootdown (session boundary, restart) or of
-    // a transition that left the page pinnable (e.g. its own permission
-    // upgrade). Revalidate in place: FillPin re-reads the page's current
-    // state under the new epochs, so this is exactly as safe as the first
-    // fill, and when the page is still a plain hit it skips the scalar
-    // dispatch entirely. A reset pin has v_lo > v_hi and fails the range
-    // test, so cold pins still take the cheap early exit.
-    if (addr < pin.v_lo || addr + len - 1 > pin.v_hi) return nullptr;
-    ms_->FillPin(*this, pin, pin.page);
-    if (!PinnedRunReady(pin, addr, len, write)) return nullptr;
-  }
+  // A stale pin is not revalidated here: the miss path refills it.
+  if (!PinnedRunReady(pin, addr, len, write)) return nullptr;
   ChargePinnedRun(pin, len, 1, write);
   if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
   return pin.host + (addr - pin.v_lo);
@@ -1059,10 +1085,11 @@ inline void ExecutionContext::WalkSpan(VAddr addr, uint64_t count,
 /// Sequential accessor carrying its own translation pin. Engine inner loops
 /// hold one Cursor per array they walk, so each stream keeps its page pinned
 /// independently of the others (mirroring the kStreams DRAM model): a miss
-/// refills the pin unconditionally — constructing a Cursor *declares*
-/// sequential intent, unlike the plain Load/Store TLB which waits for two
-/// consecutive same-page misses. Charges and access order are identical to
-/// issuing the same Load/Store sequence on the context directly.
+/// takes the full dispatch and then refills the pin — constructing a Cursor
+/// *declares* sequential intent, and on cold, fault-heavy streams a
+/// pin-first probe (the plain Load/Store TLB's page entry) would mostly
+/// fail. Charges and access order are identical to issuing the same
+/// Load/Store sequence on the context directly.
 class Cursor {
  public:
   explicit Cursor(ExecutionContext& ctx) : ctx_(&ctx) {}

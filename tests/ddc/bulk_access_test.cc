@@ -299,20 +299,25 @@ class EventRecorder : public CoherenceObserver {
   std::ostringstream os_;
 };
 
-// A program of short same-page access groups on the plain context TLB, so
-// nearly every page entry takes the second-miss branch of SlowAccess: the
-// pin is filled first and serves the access when it validates, and the
+// A program of short access groups on the plain context TLB, so nearly
+// every page entry takes the pin-first branch: the pin is filled first and,
+// when the access is a plain hit, serves it with the real DRAM charge; the
 // full dispatch runs otherwise (faults, read-to-write upgrades, accesses
 // straddling into the page, memory-side accesses under every coherence
-// mode). Returns everything observable: loaded values, clocks, metrics,
-// the observer's event stream and, by draining both tiers through fresh
-// pages, the order in which the compute cache and the pool give up each
-// page (the replacement order the hits left behind).
-std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
-                                 CoherenceMode mode, bool observe,
-                                 uint64_t seed, bool scalar) {
+// mode). First touches reach each ChargeDram branch: a page in no stream
+// slot (slot claim), a stream successor, and a page already in a slot; a
+// sweep of more pages than there are stream slots makes the revisit that
+// ends it enter a page whose slot was reclaimed. Returns everything
+// observable: loaded values, clocks, metrics, the observer's event stream
+// and, by draining both tiers through fresh pages, the order in which the
+// compute cache and the pool give up each page (the replacement order the
+// hits left behind).
+std::string RunPageEntryProgram(Platform platform, CachePolicy policy,
+                                CoherenceMode mode, bool observe,
+                                uint64_t seed, bool scalar) {
   constexpr uint64_t kDataPages = 16;
   constexpr uint64_t kDrainPages = 16;
+  constexpr uint64_t kSweepPages = 9;  // one more than the stream slots
   DdcConfig c;
   c.platform = platform;
   c.cache_policy = policy;
@@ -331,7 +336,7 @@ std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
   std::ostringstream out;
   Rng rng(seed);
   bool session = false;
-  for (int group = 0; group < 600; ++group) {
+  for (int group = 0; group < 800; ++group) {
     if (ddc && rng.Bernoulli(0.05)) {
       if (session) {
         ms.EndPushdownSession();
@@ -344,13 +349,13 @@ std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
     const uint64_t index = rng.Uniform(kDataPages);
     const VAddr page = base + index * kPage;
     auto word = [&] { return page + rng.Uniform(kPage / 8) * 8; };
-    switch (rng.Uniform(4)) {
-      case 0:  // reads: the second is served by the freshly filled pin
+    switch (rng.Uniform(7)) {
+      case 0:  // reads: the second is served by the pin the first filled
         for (uint64_t n = 2 + rng.Uniform(2); n > 0; --n) {
           out << ctx.Load<int64_t>(word()) << ' ';
         }
         break;
-      case 1:  // read, then write: the second miss is an R->W upgrade
+      case 1:  // read, then write: the write is an R->W upgrade
         out << ctx.Load<int64_t>(word()) << ' ';
         ctx.Store<int64_t>(word(), group);
         out << ctx.Load<int64_t>(word()) << ' ';
@@ -364,6 +369,32 @@ std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
       case 3:  // enter the page, then straddle into it from the previous one
         out << ctx.Load<int64_t>(word()) << ' ';
         if (index > 0) out << ctx.Load<int64_t>(page - 4) << ' ';
+        break;
+      case 4:  // end of the previous page, then enter this one as its
+               // stream successor
+        if (index > 0) out << ctx.Load<int64_t>(page - 8) << ' ';
+        out << ctx.Load<int64_t>(page) << ' ';
+        out << ctx.Load<int64_t>(word()) << ' ';
+        break;
+      case 5:  // sweep more pages than there are stream slots, then
+               // revisit the first, whose slot the sweep reclaimed
+        for (uint64_t k = 0; k < kSweepPages; ++k) {
+          const uint64_t i = (index + 2 * k) % kDataPages;
+          out << ctx.Load<int64_t>(base + i * kPage + 8 * k) << ' ';
+        }
+        out << ctx.Load<int64_t>(word()) << ' ';
+        out << ctx.Load<int64_t>(word()) << ' ';
+        break;
+      case 6:  // a failed entry (a write to a page cached read-only, which
+               // the pin fills but cannot serve) must leave the pin empty:
+               // the reads that follow would otherwise meet an interval
+               // with no stream slot (a DCHECK, or a null dereference)
+        out << ctx.Load<int64_t>(word()) << ' ';
+        out << ctx.Load<int64_t>(page + kPage / 2) << ' ';
+        ctx.Store<int64_t>(word(), group);
+        for (uint64_t n = 2 + rng.Uniform(2); n > 0; --n) {
+          out << ctx.Load<int64_t>(word()) << ' ';
+        }
         break;
     }
   }
@@ -385,7 +416,7 @@ std::string RunSecondMissProgram(Platform platform, CachePolicy policy,
   return out.str();
 }
 
-TEST(BulkAccessTest, PinFirstSecondMissRefillIsInvisible) {
+TEST(BulkAccessTest, PinFirstPageEntryIsInvisible) {
   struct Shape {
     Platform platform;
     std::vector<CoherenceMode> modes;  // sessions only exist on BaseDdc
@@ -403,10 +434,10 @@ TEST(BulkAccessTest, PinFirstSecondMissRefillIsInvisible) {
       for (const CoherenceMode mode : shape.modes) {
         for (const bool observe : {false, true}) {
           for (const uint64_t seed : {5u, 6u}) {
-            EXPECT_EQ(RunSecondMissProgram(shape.platform, policy, mode,
-                                           observe, seed, /*scalar=*/false),
-                      RunSecondMissProgram(shape.platform, policy, mode,
-                                           observe, seed, /*scalar=*/true))
+            EXPECT_EQ(RunPageEntryProgram(shape.platform, policy, mode,
+                                          observe, seed, /*scalar=*/false),
+                      RunPageEntryProgram(shape.platform, policy, mode,
+                                          observe, seed, /*scalar=*/true))
                 << PlatformToString(shape.platform) << ' '
                 << CachePolicyToString(policy) << ' '
                 << CoherenceModeToString(mode) << " observe=" << observe
